@@ -47,13 +47,17 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-int ThreadPool::drain_job(FunctionRef<void(int)> fn, int num_chunks) {
+int ThreadPool::drain_job(const FunctionRef<void(int)>& fn, int num_chunks,
+                          std::uint64_t generation) {
   int done = 0;
   for (;;) {
     int chunk;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (next_chunk_ >= num_chunks) return done;
+      // A late worker may get here after its job finished and the next one
+      // was published: it must not claim the new job's chunks with the old
+      // job's callable and count.
+      if (generation_ != generation || next_chunk_ >= num_chunks) return done;
       chunk = next_chunk_++;
     }
     try {
@@ -81,7 +85,7 @@ void ThreadPool::worker_loop() {
       fn = job_;
       num_chunks = job_chunks_;
     }
-    const int done = drain_job(*fn, num_chunks);
+    const int done = drain_job(*fn, num_chunks, seen_generation);
     if (done > 0) {
       std::lock_guard<std::mutex> lock(mu_);
       chunks_done_ += done;
@@ -97,6 +101,7 @@ void ThreadPool::run(int num_chunks, FunctionRef<void(int)> chunk_fn) {
     for (int c = 0; c < num_chunks; ++c) chunk_fn(c);
     return;
   }
+  std::uint64_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     SPLITMED_ASSERT(job_ == nullptr, "ThreadPool::run is not reentrant");
@@ -105,10 +110,10 @@ void ThreadPool::run(int num_chunks, FunctionRef<void(int)> chunk_fn) {
     next_chunk_ = 0;
     chunks_done_ = 0;
     first_error_ = nullptr;
-    ++generation_;
+    generation = ++generation_;
   }
   work_cv_.notify_all();
-  const int done = drain_job(chunk_fn, num_chunks);
+  const int done = drain_job(chunk_fn, num_chunks, generation);
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -53,17 +53,21 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  /// Claims and executes chunks until the current job is exhausted; returns
-  /// the number of chunks this thread completed.
-  int drain_job(FunctionRef<void(int)> fn, int num_chunks);
+  /// Claims and executes chunks of job `generation` until it is exhausted or
+  /// superseded; returns the number of chunks this thread completed. `fn` is
+  /// taken by reference and only invoked after a claim succeeded, which
+  /// keeps run() — and so the callable — alive.
+  int drain_job(const FunctionRef<void(int)>& fn, int num_chunks,
+                std::uint64_t generation);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_cv_;   // signals workers: new job / shutdown
   std::condition_variable done_cv_;   // signals caller: all chunks finished
-  const FunctionRef<void(int)>* job_ = nullptr;  // guarded by mu_; points at
-                                                 // run()'s parameter, which
-                                                 // outlives the job
+  // Guarded by mu_; points at run()'s parameter. It stays valid while a
+  // claimed chunk of the job is uncounted (run() waits for every chunk), so
+  // a worker dereferences it only after claiming a chunk of generation_.
+  const FunctionRef<void(int)>* job_ = nullptr;
   int job_chunks_ = 0;                             // guarded by mu_
   int next_chunk_ = 0;                             // guarded by mu_
   int chunks_done_ = 0;                            // guarded by mu_

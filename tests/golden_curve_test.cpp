@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <iomanip>
 #include <sstream>
 #include <vector>
 
@@ -44,8 +45,11 @@ core::ModelBuilder builder() {
 /// The fixed-seed reference run. `tweak` mutates the config after the golden
 /// settings are applied — used to assert that a feature (e.g. observability)
 /// is bitwise inert: the tweaked run must still match the pinned fingerprint.
+/// `ledger_fingerprint`, when given, receives the membership ledger's
+/// fingerprint (0 when membership is off).
 metrics::TrainReport golden_run(
-    const std::function<void(core::SplitConfig&)>& tweak = nullptr) {
+    const std::function<void(core::SplitConfig&)>& tweak = nullptr,
+    std::uint64_t* ledger_fingerprint = nullptr) {
   data::SyntheticCifarOptions opt;
   opt.num_examples = 96;
   opt.num_classes = 4;
@@ -69,14 +73,21 @@ metrics::TrainReport golden_run(
   if (tweak) tweak(cfg);
   core::SplitTrainer trainer(builder(), train, partition, test, cfg);
   metrics::TrainReport report = trainer.run();
-  // A golden run is fault-free: no fault counter may move and every wire
-  // byte is goodput.
-  EXPECT_EQ(trainer.network().stats().retransmits(), 0U);
-  EXPECT_EQ(trainer.network().stats().dropped(), 0U);
-  EXPECT_EQ(trainer.network().stats().corrupted(), 0U);
-  EXPECT_EQ(trainer.network().stats().duplicates(), 0U);
-  EXPECT_EQ(trainer.network().stats().goodput_bytes(),
-            trainer.network().stats().total_bytes());
+  if (!cfg.faults.any()) {
+    // A fault-free golden run: no fault counter may move and every wire
+    // byte is goodput.
+    EXPECT_EQ(trainer.network().stats().retransmits(), 0U);
+    EXPECT_EQ(trainer.network().stats().dropped(), 0U);
+    EXPECT_EQ(trainer.network().stats().corrupted(), 0U);
+    EXPECT_EQ(trainer.network().stats().duplicates(), 0U);
+    EXPECT_EQ(trainer.network().stats().goodput_bytes(),
+              trainer.network().stats().total_bytes());
+  }
+  if (ledger_fingerprint != nullptr) {
+    *ledger_fingerprint = trainer.membership() != nullptr
+                              ? trainer.membership()->ledger().fingerprint()
+                              : 0;
+  }
   return report;
 }
 
@@ -142,6 +153,49 @@ const std::vector<long> kGoldenI8Loss = {64, 45, 35, 33, 20,
                                          26, 14, 16, 8,  15};
 const std::vector<long> kGoldenI8Acc = {12, 20, 19, 20, 21,
                                         28, 29, 31, 30, 32};
+
+/// A full run fingerprint for the schedule, fault and membership paths: the
+/// curve series plus the exact simulated clock at every curve point, the
+/// report's accounting counters and the membership ledger fingerprint.
+struct RunGolden {
+  std::vector<std::uint64_t> bytes;
+  std::vector<long> loss;
+  std::vector<long> acc;
+  std::vector<double> sim_seconds;
+  /// skipped_steps, examples_lost, rejected_updates, quarantines,
+  /// void_rounds, deadline_misses.
+  std::vector<std::int64_t> counters;
+  std::uint64_t ledger = 0;
+};
+
+/// expect_fingerprint plus the exact run-level pins of `golden`; prints the
+/// actual values copy-pasteable on mismatch.
+void expect_run_fingerprint(const metrics::TrainReport& report,
+                            std::uint64_t ledger, const RunGolden& golden,
+                            const char* tag) {
+  expect_fingerprint(report, golden.bytes, golden.loss, golden.acc, tag);
+  std::vector<double> sim;
+  for (const auto& p : report.curve) sim.push_back(p.sim_seconds);
+  const std::vector<std::int64_t> counters = {
+      report.skipped_steps, report.examples_lost, report.rejected_updates,
+      report.quarantines,   report.void_rounds,   report.deadline_misses};
+  EXPECT_EQ(sim, golden.sim_seconds) << tag;
+  EXPECT_EQ(counters, golden.counters) << tag;
+  EXPECT_EQ(ledger, golden.ledger) << tag;
+  if (::testing::Test::HasFailure()) {
+    std::ostringstream os;
+    os << std::setprecision(17) << "SimSeconds = {";
+    for (std::size_t i = 0; i < sim.size(); ++i) {
+      os << (i ? ", " : "") << sim[i];
+    }
+    os << "};\nCounters = {";
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      os << (i ? ", " : "") << counters[i];
+    }
+    os << "};\nLedger = " << ledger << "ULL;";
+    ADD_FAILURE() << tag << " run pins — actual:\n" << os.str();
+  }
+}
 
 TEST(GoldenCurve, FixedSeedRunMatchesFingerprint) {
   const auto report = golden_run();
@@ -353,6 +407,161 @@ TEST(GoldenCurve, EnvelopeFramingOverheadIsPinned) {
   env.payload.resize(100);
   EXPECT_EQ(env.wire_bytes(), 128U);
   EXPECT_EQ(Envelope::kCrcTrailerBytes, 4U);
+}
+
+// --- schedule, fault and membership paths ---------------------------------
+// Literal pins for every way the trainer drives a round besides the bare
+// sequential step: a faulted run that abandons steps, a fault-free
+// membership run with crashes and a poison spell, membership under faults,
+// and the two event-driven schedules. Same-run-twice comparisons elsewhere
+// cannot see a change that moves every run the same way; these can.
+
+/// WAN faults with a tight retry budget: some steps exhaust it and are
+/// abandoned, and delay spikes outlast the timeout window.
+void faulted(core::SplitConfig& cfg) {
+  cfg.faults.drop_rate = 0.1;
+  cfg.faults.duplicate_rate = 0.05;
+  cfg.faults.corrupt_rate = 0.05;
+  cfg.faults.delay_spike_rate = 0.05;
+  cfg.faults.delay_spike_sec = 3.0;
+  cfg.recovery.timeout_sec = 2.0;
+  cfg.recovery.backoff = 1.5;
+  cfg.recovery.max_retries = 1;
+}
+
+/// Fault-free membership: a warm crash, a cold crash, a norm-bomb spell
+/// that strikes platform 2 into quarantine, and a round deadline that gates
+/// the last step of a full round.
+void membership_churn(core::SplitConfig& cfg) {
+  cfg.rounds = 12;
+  cfg.membership.enabled = true;
+  cfg.membership.round_deadline_sec = 0.1;
+  cfg.membership.strikes_to_quarantine = 2;
+  cfg.membership.quarantine_rounds = 2;
+  cfg.membership.probation_readmit_prob = 1.0;
+  cfg.churn.crashes.push_back(
+      core::CrashEvent{0, /*round=*/3, 0.3, core::RejoinMode::kWarm});
+  cfg.churn.crashes.push_back(
+      core::CrashEvent{1, /*round=*/6, 0.3, core::RejoinMode::kCold});
+  cfg.churn.poisons.push_back(core::PoisonEvent{
+      2, /*round=*/4, /*duration_rounds=*/3, core::PoisonKind::kNormBomb,
+      1.0e6F});
+}
+
+/// churn_test's chaos configuration: random poison spells, a cold outage
+/// and WAN faults at once.
+void chaos(core::SplitConfig& cfg) {
+  cfg.rounds = 12;
+  cfg.membership.enabled = true;
+  cfg.membership.strikes_to_quarantine = 2;
+  cfg.membership.quarantine_rounds = 2;
+  cfg.membership.probation_readmit_prob = 1.0;
+  core::ChurnRates rates;
+  rates.poison_rate = 0.05;
+  rates.poison_rounds = 2;
+  cfg.churn = core::ChurnPlan::random(cfg.seed, 3, cfg.rounds, rates);
+  cfg.churn.crashes.push_back(
+      core::CrashEvent{1, /*round=*/5, 1.0, core::RejoinMode::kCold});
+  cfg.faults.drop_rate = 0.03;
+  cfg.faults.duplicate_rate = 0.03;
+  cfg.faults.corrupt_rate = 0.03;
+  cfg.recovery.timeout_sec = 5.0;
+  cfg.recovery.backoff = 1.0;
+  cfg.recovery.max_retries = 2;
+}
+
+const RunGolden kGoldenFaulted = {
+    {19944, 35456, 51084, 70912, 86540, 104152, 128296, 146024, 163636,
+     181248},
+    {64, 44, 34, 33, 20, 26, 14, 15, 10, 15},
+    {12, 19, 19, 21, 21, 27, 29, 29, 31, 32},
+    {2.1122111893333337, 7.214376650666666, 12.326559840000002,
+     17.438743029333338, 24.520881898666666, 26.633065087999995,
+     30.745248277333324, 40.78732509866667, 42.899536288000022,
+     45.01173627733337},
+    {4, 16, 0, 0, 0, 0},
+    0ULL};
+const RunGolden kGoldenMembership = {
+    {8976, 22224, 31056, 37602, 44148, 44148, 44148, 48564, 52980, 61890,
+     70722, 79554},
+    {63, 51, 40, 39, 35, 35, 35, 38, 34, 26, 26, 22},
+    {8, 16, 21, 21, 16, 16, 16, 23, 25, 27, 29, 30},
+    {0.10714816000000001, 0.219330688, 0.31147788799999998,
+     0.37357936799999997, 0.43568084799999995, 0.43568084799999995,
+     0.43568084799999995, 0.49576916799999993, 0.55585748800000001,
+     0.64598176000000007, 0.72610540800000012, 0.80622905600000017},
+    {0, 64, 2, 1, 2, 1},
+    5101158823358627260ULL};
+const RunGolden kGoldenChaos = {
+    {19984, 33436, 46732, 60260, 71496, 80360, 89224, 100342, 212848,
+     223968, 239480, 257364},
+    {61, 45, 35, 33, 26, 26, 21, 26, 18, 22, 14, 14},
+    {10, 18, 23, 21, 23, 26, 24, 23, 28, 31, 32, 31},
+    {15.127184229333338, 15.254368458666676, 15.366551648000012,
+     20.478734837333345, 20.573859973333345, 20.653984069333344,
+     20.734108165333343, 30.81419102133334, 35.958652864000022,
+     36.018748106666706, 46.070859456000051, 51.198043685333403},
+    {0, 24, 2, 1, 0, 0},
+    12415459336232294777ULL};
+const RunGolden kGoldenOverlapped = {
+    {13248, 26496, 39744, 52992, 66240, 79488, 92736, 105984, 119232,
+     132480},
+    {64, 44, 35, 33, 19, 26, 14, 15, 8, 14},
+    {12, 19, 20, 22, 21, 28, 29, 31, 31, 32},
+    {0.076067946666666664, 0.15213589333333333, 0.22820383999999999,
+     0.30427178666666665, 0.38033973333333326, 0.45640767999999987,
+     0.53247562666666659, 0.60854357333333331, 0.68461152000000003,
+     0.76067946666666675},
+    {0, 0, 0, 0, 0, 0},
+    0ULL};
+const RunGolden kGoldenBoundedStaleness = {
+    {66240}, {23}, {23}, {0.357486784}, {0, 0, 0, 0, 0, 0}, 0ULL};
+
+TEST(GoldenPaths, FaultedRunWithAbandonedStepsMatchesFingerprint) {
+  std::uint64_t ledger = 0;
+  const auto report = golden_run(faulted, &ledger);
+  EXPECT_GT(report.skipped_steps, 0) << "no step was abandoned";
+  expect_run_fingerprint(report, ledger, kGoldenFaulted, "faulted");
+}
+
+TEST(GoldenPaths, MembershipChurnRunMatchesFingerprint) {
+  std::uint64_t ledger = 0;
+  const auto report = golden_run(membership_churn, &ledger);
+  EXPECT_GT(report.rejected_updates, 0) << "the poison spell was not refused";
+  EXPECT_GT(report.examples_lost, 0) << "no outage was served";
+  expect_run_fingerprint(report, ledger, kGoldenMembership, "membership");
+}
+
+TEST(GoldenPaths, ChaosRunMatchesFingerprint) {
+  std::uint64_t ledger = 0;
+  const auto report = golden_run(chaos, &ledger);
+  expect_run_fingerprint(report, ledger, kGoldenChaos, "chaos");
+}
+
+TEST(GoldenPaths, OverlappedRunMatchesFingerprint) {
+  std::uint64_t ledger = 0;
+  const auto report = golden_run(
+      [](core::SplitConfig& cfg) { cfg.schedule = core::Schedule::kOverlapped; },
+      &ledger);
+  expect_run_fingerprint(report, ledger, kGoldenOverlapped, "overlapped");
+}
+
+TEST(GoldenPaths, BoundedStalenessRunMatchesFingerprint) {
+  // One curve point, at the final full drain: evaluating while a straggler
+  // is still in flight runs L1 inference over that step's forward caches
+  // (an open ROADMAP item), so mid-run evaluation is kept out of this pin.
+  std::uint64_t ledger = 0;
+  const auto report = golden_run(
+      [](core::SplitConfig& cfg) {
+        cfg.schedule = core::Schedule::kBoundedStaleness;
+        cfg.staleness_bound = 1;
+        cfg.participation = 0.6;
+        cfg.rounds = 12;
+        cfg.eval_every = 12;
+      },
+      &ledger);
+  expect_run_fingerprint(report, ledger, kGoldenBoundedStaleness,
+                         "bounded staleness");
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // at every thread count (docs/PROTOCOL.md).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -53,6 +55,37 @@ TEST(ThreadPool, PropagatesChunkExceptions) {
   std::atomic<int> done{0};
   pool.run(8, [&](int) { ++done; });
   EXPECT_EQ(done.load(), 8);
+}
+
+TEST(ThreadPool, BackToBackJobsNeverShareChunks) {
+  // Regression: a worker still draining job G could claim chunks of job
+  // G+1 with G's callable and chunk count, running G+1's indices against
+  // the wrong bound (and, once G's callable was gone, crashing or leaving
+  // run() waiting forever). Short jobs of alternating width published back
+  // to back make that window wide; each must still run every index in
+  // [0, n) exactly once.
+  ThreadPool pool(3);
+  constexpr int kJobs = 200000;
+  std::array<std::atomic<int>, 3> counts{};
+  std::atomic<std::uint64_t> sink{0};
+  int bad_jobs = 0;
+  for (int job = 0; job < kJobs; ++job) {
+    const int n = job % 2 == 0 ? 3 : 2;
+    for (auto& c : counts) c.store(0, std::memory_order_relaxed);
+    pool.run(n, [&](int c) {
+      std::uint64_t x = static_cast<std::uint64_t>(c) + 1;
+      for (int i = 0; i < 2000; ++i) x = x * 6364136223846793005ULL + 1;
+      sink.fetch_add(x, std::memory_order_relaxed);
+      counts[static_cast<std::size_t>(c)].fetch_add(1);
+    });
+    for (int c = 0; c < 3; ++c) {
+      if (counts[static_cast<std::size_t>(c)].load() != (c < n ? 1 : 0)) {
+        ++bad_jobs;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(bad_jobs, 0);
 }
 
 TEST(ParallelFor, CoversRangeWithDisjointChunks) {
