@@ -89,7 +89,7 @@ struct ObsConfig {
 [[nodiscard]] Gauge* workspace_step_peak_gauge();
 
 /// Pre-registered event-queue-depth gauge (frames in flight across every
-/// inbox), sampled on every EventScheduler::pump_one and at round
+/// inbox), sampled after every EventScheduler delivery and at round
 /// boundaries — the intra-round arrival-queue depth, not just its value at
 /// the boundary. Same single-atomic-load discipline as the gemm counters.
 /// Null while no session is active.

@@ -80,7 +80,7 @@ void encode_body_i8(const Tensor& t, BufferWriter& w) {
     // producing garbage wire bytes the decoder cannot detect.
     if (!std::isfinite(v)) {
       throw SerializationError(
-          "encode_tensor_i8: non-finite tensor element cannot be quantized");
+          "i8 codec: non-finite tensor element cannot be quantized");
     }
     max_abs = std::max(max_abs, std::abs(v));
   }

@@ -28,7 +28,6 @@
 #include "src/optim/sgd.hpp"
 #include "src/serial/codec.hpp"
 #include "src/serial/crc32.hpp"
-#include "src/serial/quantize.hpp"
 #include "src/serial/section_file.hpp"
 #include "src/serial/tensor_codec.hpp"
 #include "src/tensor/ops.hpp"
@@ -72,7 +71,7 @@ TEST(CodecFuzz, CorruptedI8PayloadsNeverCrash) {
   Rng rng(2);
   const Tensor t = Tensor::normal(Shape{4, 7}, rng);
   BufferWriter w;
-  encode_tensor_i8(t, w);
+  encode_tensor_tagged(t, WireCodec::kI8, w);
   const auto original = w.bytes();
   for (int trial = 0; trial < 500; ++trial) {
     auto bytes = original;
@@ -80,7 +79,7 @@ TEST(CodecFuzz, CorruptedI8PayloadsNeverCrash) {
         static_cast<std::uint8_t>(1 + rng.uniform_u64(255));
     try {
       BufferReader r({bytes.data(), bytes.size()});
-      (void)decode_tensor_i8(r);
+      (void)decode_tensor_tagged(r);
     } catch (const SerializationError&) {
     } catch (const InvalidArgument&) {
     }
@@ -113,7 +112,7 @@ TEST(CodecFuzz, EveryTruncatedPrefixThrows) {
   for (const bool quantized : {false, true}) {
     BufferWriter w;
     if (quantized) {
-      encode_tensor_i8(t, w);
+      encode_tensor_tagged(t, WireCodec::kI8, w);
     } else {
       encode_tensor(t, w);
     }
@@ -121,7 +120,7 @@ TEST(CodecFuzz, EveryTruncatedPrefixThrows) {
     for (std::size_t len = 0; len < full.size(); ++len) {
       BufferReader r({full.data(), len});
       if (quantized) {
-        EXPECT_THROW((void)decode_tensor_i8(r), SerializationError)
+        EXPECT_THROW((void)decode_tensor_tagged(r), SerializationError)
             << "i8 prefix of " << len << " bytes";
       } else {
         EXPECT_THROW((void)decode_tensor(r), SerializationError)
@@ -140,7 +139,7 @@ TEST(CodecFuzz, LyingLengthFieldsRejectedBeforeAllocation) {
   for (const bool quantized : {false, true}) {
     BufferWriter w;
     if (quantized) {
-      encode_tensor_i8(t, w);
+      encode_tensor_tagged(t, WireCodec::kI8, w);
     } else {
       encode_tensor(t, w);
     }
@@ -148,7 +147,7 @@ TEST(CodecFuzz, LyingLengthFieldsRejectedBeforeAllocation) {
     const auto decode = [&](const std::vector<std::uint8_t>& bytes) {
       BufferReader r({bytes.data(), bytes.size()});
       if (quantized) {
-        (void)decode_tensor_i8(r);
+        (void)decode_tensor_tagged(r);
       } else {
         (void)decode_tensor(r);
       }
