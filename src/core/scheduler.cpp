@@ -53,7 +53,8 @@ void EventScheduler::begin_step(std::size_t platform, std::uint64_t step_id,
 
 bool EventScheduler::end_step(std::size_t platform) {
   SPLITMED_ASSERT(in_flight_[platform], "step end for an untracked step");
-  const auto round_it = inflight_by_round_.find(in_flight_[platform]->start_round);
+  const auto round_it =
+      inflight_by_round_.find(in_flight_[platform]->start_round);
   SPLITMED_ASSERT(round_it != inflight_by_round_.end(),
                   "in-flight round accounting out of sync");
   if (--round_it->second == 0) inflight_by_round_.erase(round_it);

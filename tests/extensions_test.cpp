@@ -77,12 +77,14 @@ TEST(Quantize, RejectsInfInput) {
   Tensor pos(Shape{3});
   pos.data()[2] = std::numeric_limits<float>::infinity();
   BufferWriter w;
-  EXPECT_THROW(encode_tensor_tagged(pos, WireCodec::kI8, w), SerializationError);
+  EXPECT_THROW(encode_tensor_tagged(pos, WireCodec::kI8, w),
+               SerializationError);
 
   Tensor neg(Shape{3});
   neg.data()[0] = -std::numeric_limits<float>::infinity();
   BufferWriter w2;
-  EXPECT_THROW(encode_tensor_tagged(neg, WireCodec::kI8, w2), SerializationError);
+  EXPECT_THROW(encode_tensor_tagged(neg, WireCodec::kI8, w2),
+               SerializationError);
 }
 
 TEST(Quantize, TiesRoundHalfAwayFromZero) {

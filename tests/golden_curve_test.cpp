@@ -430,8 +430,8 @@ void faulted(core::SplitConfig& cfg) {
 }
 
 /// Fault-free membership: a warm crash, a cold crash, a norm-bomb spell
-/// that strikes platform 2 into quarantine, and a round deadline that gates
-/// the last step of a full round.
+/// that strikes platform 2 into quarantine, and a round deadline tight
+/// enough to gate a step once.
 void membership_churn(core::SplitConfig& cfg) {
   cfg.rounds = 12;
   cfg.membership.enabled = true;
@@ -541,7 +541,9 @@ TEST(GoldenPaths, ChaosRunMatchesFingerprint) {
 TEST(GoldenPaths, OverlappedRunMatchesFingerprint) {
   std::uint64_t ledger = 0;
   const auto report = golden_run(
-      [](core::SplitConfig& cfg) { cfg.schedule = core::Schedule::kOverlapped; },
+      [](core::SplitConfig& cfg) {
+        cfg.schedule = core::Schedule::kOverlapped;
+      },
       &ledger);
   expect_run_fingerprint(report, ledger, kGoldenOverlapped, "overlapped");
 }
