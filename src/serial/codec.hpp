@@ -5,7 +5,9 @@
 //   dims        rank x i64
 //   body        kF32: numel x f32
 //               kF16: numel x binary16 (2 bytes each, RTNE from f32)
-//               kI8 : scale f32, then numel x int8 (symmetric, q = x/scale)
+//               kI8 : scale f32 (max|x| / 127; 0 for an all-zero tensor),
+//                     then numel x int8 (symmetric, q = round(x / scale),
+//                     ties away from zero)
 //
 // The tag rides in the always-zero high byte of the legacy rank word, so a
 // kF32 frame is bitwise identical to the untagged format this repo shipped
