@@ -20,11 +20,15 @@
 #include <filesystem>
 #include <functional>
 #include <iomanip>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/core/trainer.hpp"
+#include "src/data/partition.hpp"
 #include "src/data/synthetic_cifar.hpp"
 #include "src/models/factory.hpp"
 #include "src/nn/plan.hpp"
@@ -564,6 +568,145 @@ TEST(GoldenPaths, BoundedStalenessRunMatchesFingerprint) {
       &ledger);
   expect_run_fingerprint(report, ledger, kGoldenBoundedStaleness,
                          "bounded staleness");
+}
+
+// --- conv models ------------------------------------------------------------
+// Every pin above trains the MLP. These train the two conv models of the
+// paper's Fig. 4 at fig4's shape — K=4 zipf-0.8 shards, proportional
+// minibatches summing to 32, 16x16 synthetic CIFAR — for six sequential
+// rounds, so a change to the conv lowering (im2col/col2im, GEMM packing and
+// tiling, the parameter-only L1 backward) cannot move the training
+// trajectory unseen. vgg-mini runs every conv through the stride-1 same-size
+// path; resnet-mini adds BatchNorm, stride-2 and 1x1 projection convs.
+
+struct ConvGolden {
+  std::vector<std::uint64_t> bytes;
+  std::vector<double> loss;  ///< exact train loss per curve point
+  std::vector<double> sim_seconds;
+  /// FNV-1a over the bytes of every final platform L1 parameter (platform
+  /// order), then every server parameter.
+  std::uint64_t params = 0;
+};
+
+std::uint64_t fnv1a(std::uint64_t h, std::span<const float> values) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  for (std::size_t i = 0; i < values.size_bytes(); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t parameter_fingerprint(core::SplitTrainer& trainer) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t p = 0; p < trainer.num_platforms(); ++p) {
+    for (nn::Parameter* param : trainer.platform(p).l1().parameters()) {
+      h = fnv1a(h, param->value.data());
+    }
+  }
+  for (nn::Parameter* param : trainer.server().body().parameters()) {
+    h = fnv1a(h, param->value.data());
+  }
+  return h;
+}
+
+ConvGolden conv_run(const std::string& model, WireCodec codec, int threads) {
+  data::SyntheticCifarOptions opt;
+  opt.num_examples = 256;
+  opt.num_classes = 10;
+  opt.image_size = 16;
+  opt.noise_stddev = 0.8F;
+  opt.seed = 42;
+  const data::SyntheticCifar train(opt);
+  opt.num_examples = 32;
+  opt.index_offset = 256;
+  const data::SyntheticCifar test(opt);
+  Rng prng(7);
+  const auto partition = data::partition_zipf(train.size(), 4, 0.8, prng);
+  core::SplitConfig cfg;
+  cfg.codec = codec;
+  cfg.total_batch = 32;
+  cfg.policy = core::MinibatchPolicy::kProportional;
+  cfg.rounds = 6;
+  cfg.eval_every = 1;
+  cfg.sgd.learning_rate = 0.02F;
+  cfg.sgd.momentum = 0.5F;
+  cfg.threads = threads;
+  core::SplitTrainer trainer(
+      [model] {
+        models::FactoryConfig f;
+        f.name = model;
+        f.image_size = 16;
+        f.num_classes = 10;
+        return models::build_model(f);
+      },
+      train, partition, test, cfg);
+  const metrics::TrainReport report = trainer.run();
+  ConvGolden out;
+  for (const auto& p : report.curve) {
+    out.bytes.push_back(p.cumulative_bytes);
+    out.loss.push_back(p.train_loss);
+    out.sim_seconds.push_back(p.sim_seconds);
+  }
+  out.params = parameter_fingerprint(trainer);
+  set_global_threads(0);
+  return out;
+}
+
+void expect_conv_golden(const ConvGolden& got, const ConvGolden& want,
+                        const std::string& tag) {
+  EXPECT_EQ(got.bytes, want.bytes) << tag;
+  EXPECT_EQ(got.loss, want.loss) << tag;
+  EXPECT_EQ(got.sim_seconds, want.sim_seconds) << tag;
+  EXPECT_EQ(got.params, want.params) << tag;
+  if (::testing::Test::HasFailure()) {
+    std::ostringstream os;
+    os << std::setprecision(17) << "{{";
+    for (std::size_t i = 0; i < got.bytes.size(); ++i) {
+      os << (i ? ", " : "") << got.bytes[i];
+    }
+    os << "},\n {";
+    for (std::size_t i = 0; i < got.loss.size(); ++i) {
+      os << (i ? ", " : "") << got.loss[i];
+    }
+    os << "},\n {";
+    for (std::size_t i = 0; i < got.sim_seconds.size(); ++i) {
+      os << (i ? ", " : "") << got.sim_seconds[i];
+    }
+    os << "},\n " << got.params << "ULL};";
+    ADD_FAILURE() << tag << " conv pins — actual:\n" << os.str();
+  }
+}
+
+const ConvGolden kGoldenVggMini = {
+    {1052032, 2104064, 3156096, 4208128, 5260160, 6312192},
+    {10.40799617767334, 2.4880062937736511, 2.3217581510543823,
+     2.3036471605300903, 2.3262982964515686, 2.2909799814224243},
+    {0.20664354133333326, 0.41328708266666675, 0.61993062400000021,
+     0.82657416533333361, 1.033217706666667, 1.2398612480000004},
+    1375199715319974949ULL};
+const ConvGolden kGoldenResnetMiniI8 = {
+    {265632, 531264, 796896, 1062528, 1328160, 1593792},
+    {2.7069663405418396, 2.5777868628501892, 2.430675745010376,
+     2.1780709624290466, 2.4728310108184814, 1.8595578372478485},
+    {0.19569957333333329, 0.39139914666666686, 0.5870987200000003,
+     0.78279829333333384, 0.97849786666666738, 1.1741974400000006},
+    6983722738972508030ULL};
+
+TEST(GoldenConv, VggMiniF32MatchesFingerprint) {
+  for (const int threads : {1, 3}) {
+    expect_conv_golden(conv_run("vgg-mini", WireCodec::kF32, threads),
+                       kGoldenVggMini,
+                       "vgg-mini f32 threads=" + std::to_string(threads));
+  }
+}
+
+TEST(GoldenConv, ResnetMiniI8MatchesFingerprint) {
+  for (const int threads : {1, 3}) {
+    expect_conv_golden(conv_run("resnet-mini", WireCodec::kI8, threads),
+                       kGoldenResnetMiniI8,
+                       "resnet-mini i8 threads=" + std::to_string(threads));
+  }
 }
 
 }  // namespace
