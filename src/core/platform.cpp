@@ -212,7 +212,8 @@ void PlatformNode::handle(net::Network& network, const Envelope& envelope) {
   const Tensor cut_grad =
       decode_tensor_payload(envelope.payload, options_.codec);
   l1_.zero_grad();
-  l1_.backward(cut_grad);
+  // dL/dx of the raw images is never sent anywhere: parameters only.
+  l1_.backward_params(cut_grad);
   opt_.step();
   ++steps_completed_;
   state_ = PlatformState::kIdle;

@@ -41,11 +41,15 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 }
 
 Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
+  cached_output_ = infer(input);
+  return cached_output_;
+}
+
+Tensor Tanh::infer(const Tensor& input) {
   Tensor out(input.shape());
   auto id = input.data();
   auto od = out.data();
   for (std::size_t i = 0; i < id.size(); ++i) od[i] = std::tanh(id[i]);
-  cached_output_ = out;
   return out;
 }
 
@@ -63,13 +67,17 @@ Tensor Tanh::backward(const Tensor& grad_output) {
 }
 
 Tensor Sigmoid::forward(const Tensor& input, bool /*training*/) {
+  cached_output_ = infer(input);
+  return cached_output_;
+}
+
+Tensor Sigmoid::infer(const Tensor& input) {
   Tensor out(input.shape());
   auto id = input.data();
   auto od = out.data();
   for (std::size_t i = 0; i < id.size(); ++i) {
     od[i] = 1.0F / (1.0F + std::exp(-id[i]));
   }
-  cached_output_ = out;
   return out;
 }
 

@@ -24,6 +24,7 @@ class Tanh final : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override {
     return input;
   }
@@ -37,6 +38,7 @@ class Sigmoid final : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override {
     return input;
   }

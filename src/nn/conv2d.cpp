@@ -41,59 +41,18 @@ ConvGeometry Conv2d::geometry(std::int64_t in_h, std::int64_t in_w) const {
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
-  SPLITMED_CHECK(input.shape().rank() == 4 && input.shape().dim(1) == in_c_,
-                 name() << ": bad input " << input.shape().str());
-  cached_input_ = input;
-  const std::int64_t batch = input.shape().dim(0);
-  const ConvGeometry g = geometry(input.shape().dim(2), input.shape().dim(3));
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  Tensor out(Shape{batch, out_c_, oh, ow});
-
-  const std::int64_t image_elems = in_c_ * g.in_h * g.in_w;
-  const std::int64_t out_elems = out_c_ * oh * ow;
-  auto id = input.data();
-  auto od = out.data();
-  auto bd = bias_.value.data();
-  // Samples write disjoint output planes, so the batch loop partitions
-  // cleanly across threads; each chunk checks its col scratch out of its
-  // own thread's workspace arena — zero heap allocations once the arenas
-  // are warm. (Nested kernel calls run serially inside a chunk; with a
-  // single-sample batch the chunk runs inline and the kernels parallelize
-  // instead.)
-  parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
-    ws::WorkspaceScope scratch;
-    std::span<float> col = scratch.floats(g.col_rows() * g.col_cols());
-    for (std::int64_t b = b0; b < b1; ++b) {
-      im2col(g, id.subspan(static_cast<std::size_t>(b * image_elems),
-                           static_cast<std::size_t>(image_elems)),
-             col);
-      // out[b] = W[out_c, crk] · col[crk, oh*ow]
-      gemm_nn(out_c_, g.col_cols(), g.col_rows(), weight_.value.data(), col,
-              od.subspan(static_cast<std::size_t>(b * out_elems),
-                         static_cast<std::size_t>(out_elems)));
-      float* ob = od.data() + b * out_elems;
-      for (std::int64_t c = 0; c < out_c_; ++c) {
-        float* plane = ob + c * oh * ow;
-        const float bias = bd[c];
-        for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += bias;
-      }
-    }
-  });
-  return out;
+  // The bias is the write-back epilogue: the same single add per element a
+  // separate pass over the output would do.
+  gemmk::Epilogue ep;
+  ep.bias = bias_.value.data().data();
+  return forward_fused(input, ep, /*cache=*/true);
 }
 
 Tensor Conv2d::infer(const Tensor& input) {
-  // Inference-only: same GEMM fold, bias applied at write-back (one add per
-  // element, the same single add forward() does read-modify-write), and no
-  // input cache. Bitwise identical to forward(input, false).
-  SPLITMED_CHECK(input.shape().rank() == 4 && input.shape().dim(1) == in_c_,
-                 name() << ": bad input " << input.shape().str());
+  // forward() without the input cache: bitwise identical outputs.
   gemmk::Epilogue ep;
   ep.bias = bias_.value.data().data();
-  Tensor out(output_shape(input.shape()));
-  run_fused(input.data(), input.shape().dim(0), input.shape().dim(2),
-            input.shape().dim(3), out.data(), ep);
-  return out;
+  return forward_fused(input, ep, /*cache=*/false);
 }
 
 Tensor Conv2d::forward_fused(const Tensor& input, const gemmk::Epilogue& ep,
@@ -112,16 +71,23 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
                        std::span<float> out,
                        const gemmk::Epilogue& ep) const {
   const ConvGeometry g = geometry(in_h, in_w);
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
   const std::int64_t image_elems = in_c_ * g.in_h * g.in_w;
-  const std::int64_t out_elems = out_c_ * oh * ow;
+  const std::int64_t out_elems = out_c_ * g.col_cols();
   SPLITMED_CHECK(
       input.size() >= static_cast<std::size_t>(batch * image_elems) &&
           out.size() >= static_cast<std::size_t>(batch * out_elems),
       name() << ": run_fused span too small");
-  // Same batch partitioning and per-sample GEMM as forward(); the epilogue
-  // (bias / bn / relu, per output channel = per C row) replaces the
-  // read-modify-write bias loop with the identical adds at write-back.
+  // W is packed once for the whole batch, in the calling thread's arena.
+  // Samples write disjoint output planes, so the batch partitions cleanly
+  // across threads; each chunk lowers its samples into col scratch from its
+  // own thread's arena and runs them against the shared pack:
+  // out[b] = W[out_c, crk] · col[crk, oh*ow], with the elementwise tail
+  // (bias / bn / relu, per output channel = per C row) at write-back. With a
+  // single-sample batch the chunk runs inline and the GEMM splits its rows
+  // across threads instead.
+  ws::WorkspaceScope scope;
+  const PackedLhs w = pack_lhs(/*transposed=*/false, out_c_, g.col_cols(),
+                               g.col_rows(), weight_.value.data(), scope);
   parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
     ws::WorkspaceScope scratch;
     std::span<float> col = scratch.floats(g.col_rows() * g.col_cols());
@@ -129,11 +95,10 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
       im2col(g, input.subspan(static_cast<std::size_t>(b * image_elems),
                               static_cast<std::size_t>(image_elems)),
              col);
-      gemm_nn_ep(out_c_, g.col_cols(), g.col_rows(), weight_.value.data(),
-                 col,
-                 out.subspan(static_cast<std::size_t>(b * out_elems),
-                             static_cast<std::size_t>(out_elems)),
-                 ep);
+      gemm_lhs(w, col,
+               out.subspan(static_cast<std::size_t>(b * out_elems),
+                           static_cast<std::size_t>(out_elems)),
+               &ep);
     }
   });
 }
@@ -142,8 +107,13 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   return backward_from(grad_output.data(), grad_output.shape());
 }
 
+void Conv2d::backward_params(const Tensor& grad_output) {
+  (void)backward_from(grad_output.data(), grad_output.shape(),
+                      /*input_grad=*/false);
+}
+
 Tensor Conv2d::backward_from(std::span<const float> grad_output,
-                             const Shape& grad_shape) {
+                             const Shape& grad_shape, bool input_grad) {
   SPLITMED_CHECK(cached_input_.shape().rank() == 4,
                  "Conv2d backward before forward");
   const std::int64_t batch = cached_input_.shape().dim(0);
@@ -153,14 +123,11 @@ Tensor Conv2d::backward_from(std::span<const float> grad_output,
   check_same_shape(grad_shape, Shape{batch, out_c_, oh, ow},
                    "Conv2d backward");
 
-  Tensor grad_input(cached_input_.shape());
-
   const std::int64_t image_elems = in_c_ * g.in_h * g.in_w;
   const std::int64_t out_elems = out_c_ * oh * ow;
   const std::int64_t wn = weight_.value.numel();
   auto id = cached_input_.data();
   auto gd = grad_output;
-  auto gi = grad_input.data();
   auto wg = weight_.grad.data();
   auto bg = bias_.grad.data();
 
@@ -168,29 +135,42 @@ Tensor Conv2d::backward_from(std::span<const float> grad_output,
   // thread's arena so they survive the parallel region below; workers fill
   // disjoint slabs, then one serial pass reduces them in ascending sample
   // order — the identical float grouping to a serial batch loop, so the
-  // result is bitwise thread-invariant.
+  // result is bitwise thread-invariant. Wᵀ for the input gradient is packed
+  // once, in the same arena, and read by every worker.
   ws::WorkspaceScope slabs;
   std::span<float> dw_slabs = slabs.floats(batch * wn);
   std::span<float> db_slabs = slabs.floats(batch * out_c_);
+  Tensor grad_input;
+  PackedLhs wt;
+  if (input_grad) {
+    grad_input = Tensor(cached_input_.shape());
+    wt = pack_lhs(/*transposed=*/true, g.col_rows(), g.col_cols(), out_c_,
+                  weight_.value.data(), slabs);
+  }
+  auto gi = grad_input.data();
 
   // One fused pass over the batch; samples are independent:
-  //  - dcol = Wᵀ[crk, out_c] · g_out[out_c, ohw] (gemm_tn), scatter-added
-  //    back to this sample's disjoint grad_input planes (col2im);
+  //  - (input_grad only) dcol = Wᵀ[crk, out_c] · g_out[out_c, ohw],
+  //    scatter-added back to this sample's disjoint grad_input planes
+  //    (col2im);
   //  - bias slab: spatial sums per channel;
   //  - weight slab: dW_b = g_out[out_c, ohw] · colᵀ[ohw, crk]  (gemm_nt).
   // col/dcol scratch comes from each worker's own arena.
   parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
     ws::WorkspaceScope scratch;
     std::span<float> col = scratch.floats(g.col_rows() * g.col_cols());
-    std::span<float> dcol = scratch.floats(g.col_rows() * g.col_cols());
+    std::span<float> dcol =
+        input_grad ? scratch.floats(g.col_rows() * g.col_cols())
+                   : std::span<float>{};
     for (std::int64_t b = b0; b < b1; ++b) {
       auto g_out = gd.subspan(static_cast<std::size_t>(b * out_elems),
                               static_cast<std::size_t>(out_elems));
-      gemm_tn(g.col_rows(), g.col_cols(), out_c_, weight_.value.data(), g_out,
-              dcol);
-      col2im(g, dcol,
-             gi.subspan(static_cast<std::size_t>(b * image_elems),
-                        static_cast<std::size_t>(image_elems)));
+      if (input_grad) {
+        gemm_lhs(wt, g_out, dcol);
+        col2im(g, dcol,
+               gi.subspan(static_cast<std::size_t>(b * image_elems),
+                          static_cast<std::size_t>(image_elems)));
+      }
       float* db = db_slabs.data() + b * out_c_;
       for (std::int64_t c = 0; c < out_c_; ++c) {
         const float* plane = g_out.data() + c * oh * ow;

@@ -18,6 +18,9 @@ class Conv2d final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Weight and bias gradients only: skips the input-gradient GEMM and
+  /// col2im.
+  void backward_params(const Tensor& grad_output) override;
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
@@ -41,9 +44,10 @@ class Conv2d final : public Layer {
                  const gemmk::Epilogue& ep) const;
   /// backward() against a raw grad span (the planner's fused groups mask
   /// dReLU into arena scratch and feed it here — bitwise identical to
-  /// backward(Tensor) on the same bytes).
+  /// backward(Tensor) on the same bytes). With input_grad=false it
+  /// accumulates the same parameter gradients and returns a default Tensor.
   Tensor backward_from(std::span<const float> grad_output,
-                       const Shape& grad_shape);
+                       const Shape& grad_shape, bool input_grad = true);
 
  private:
   [[nodiscard]] ConvGeometry geometry(std::int64_t in_h,

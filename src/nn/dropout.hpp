@@ -15,6 +15,9 @@ class Dropout final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// The identity, as forward(x, false) — but leaves the training mask and
+  /// mode of a pending backward alone.
+  Tensor infer(const Tensor& input) override { return input; }
   [[nodiscard]] Shape output_shape(const Shape& input) const override {
     return input;
   }

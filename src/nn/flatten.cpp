@@ -13,6 +13,10 @@ Shape Flatten::output_shape(const Shape& input) const {
 
 Tensor Flatten::forward(const Tensor& input, bool /*training*/) {
   cached_input_shape_ = input.shape();
+  return infer(input);
+}
+
+Tensor Flatten::infer(const Tensor& input) {
   return input.reshape(output_shape(input.shape()));
 }
 

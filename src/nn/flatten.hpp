@@ -9,6 +9,7 @@ class Flatten final : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }
 

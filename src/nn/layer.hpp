@@ -11,6 +11,7 @@
 //    matched by at most one backward before the next forward.
 //  - backward(grad_out) ACCUMULATES into each Parameter::grad (callers run
 //    zero_grad() between steps) and returns grad w.r.t. the forward input.
+//  - infer(x) equals forward(x, false) bitwise and touches no cache.
 //  - output_shape(in) is pure: it computes shapes without running data
 //    through the layer (used by the analytic communication model).
 #pragma once
@@ -37,15 +38,21 @@ class Layer {
   /// Precondition: forward() was called and its cache is still valid.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Inference-only forward: bitwise identical outputs to
-  /// forward(input, /*training=*/false), but with NO obligation to leave a
-  /// usable backward cache behind (layers override to skip caching, and the
-  /// execution planner overrides to fuse whole chains through arena slabs).
-  /// Callers that need backward after an eval-mode pass — the privacy
-  /// reconstruction attack — must keep using forward(x, false).
-  virtual Tensor infer(const Tensor& input) {
-    return forward(input, /*training=*/false);
+  /// backward() for a caller that discards dL/dinput: accumulates bitwise
+  /// the same parameter gradients, and may skip the input gradient's work
+  /// (Conv2d and Linear skip their input-gradient GEMM).
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
   }
+
+  /// Inference-only forward: bitwise identical outputs to
+  /// forward(input, /*training=*/false), and it leaves every cache a
+  /// pending backward needs untouched — evaluation may run while a step is
+  /// in flight (bounded staleness). The execution planner overrides it to
+  /// fuse whole chains through arena slabs. Callers that need backward
+  /// after an eval-mode pass — the privacy reconstruction attack — must
+  /// keep using forward(x, false).
+  virtual Tensor infer(const Tensor& input) = 0;
 
   /// Output shape for a given input shape, without executing.
   [[nodiscard]] virtual Shape output_shape(const Shape& input) const = 0;

@@ -80,8 +80,13 @@ Tensor Linear::backward(const Tensor& grad_output) {
   return backward_from(grad_output.data(), grad_output.shape());
 }
 
+void Linear::backward_params(const Tensor& grad_output) {
+  (void)backward_from(grad_output.data(), grad_output.shape(),
+                      /*input_grad=*/false);
+}
+
 Tensor Linear::backward_from(std::span<const float> grad_output,
-                             const Shape& grad_shape) {
+                             const Shape& grad_shape, bool input_grad) {
   SPLITMED_CHECK(grad_shape.rank() == 2 && grad_shape.dim(1) == out_,
                  "Linear backward: bad grad " << grad_shape.str());
   SPLITMED_CHECK(cached_input_.shape().rank() == 2,
@@ -103,6 +108,7 @@ Tensor Linear::backward_from(std::span<const float> grad_output,
     const float* row = grad_output.data() + r * out_;
     for (std::int64_t c = 0; c < out_; ++c) bg[c] += row[c];
   }
+  if (!input_grad) return {};
   // dx = g·W — the same gemm_nn call ops::matmul(grad_output, weight_.value)
   // lowers to (ops.cpp), bitwise identical.
   Tensor dx(Shape{batch, in_});

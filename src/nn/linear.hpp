@@ -16,6 +16,8 @@ class Linear final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Weight and bias gradients only: skips the dx = g·W GEMM.
+  void backward_params(const Tensor& grad_output) override;
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
@@ -34,8 +36,9 @@ class Linear final : public Layer {
                        bool cache);
   void run_fused(std::span<const float> input, std::int64_t batch,
                  std::span<float> out, const gemmk::Epilogue& ep) const;
+  /// With input_grad=false: parameter gradients only, default Tensor back.
   Tensor backward_from(std::span<const float> grad_output,
-                       const Shape& grad_shape);
+                       const Shape& grad_shape, bool input_grad = true);
 
  private:
   std::int64_t in_;

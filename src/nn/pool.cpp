@@ -61,7 +61,11 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
       for (std::int64_t y = 0; y < oh; ++y) {
         for (std::int64_t x = 0; x < ow; ++x) {
           float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
+          // Seeded with the window's first element, so a window with no
+          // element above -inf (all NaN or all -inf) routes its gradient
+          // inside its own plane.
+          std::int64_t best_idx =
+              plane_base + (y * stride_) * iw + x * stride_;
           for (std::int64_t wy = 0; wy < window_; ++wy) {
             const std::int64_t iy = y * stride_ + wy;
             for (std::int64_t wx = 0; wx < window_; ++wx) {
@@ -164,8 +168,12 @@ Shape AvgPool2d::output_shape(const Shape& input) const {
 }
 
 Tensor AvgPool2d::forward(const Tensor& input, bool /*training*/) {
-  const Shape out_shape = output_shape(input.shape());
   cached_input_shape_ = input.shape();
+  return infer(input);
+}
+
+Tensor AvgPool2d::infer(const Tensor& input) {
+  const Shape out_shape = output_shape(input.shape());
   Tensor out(out_shape);
   const std::int64_t planes = input.shape().dim(0) * input.shape().dim(1);
   const std::int64_t ih = input.shape().dim(2), iw = input.shape().dim(3);
@@ -239,8 +247,12 @@ Shape GlobalAvgPool::output_shape(const Shape& input) const {
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& input, bool /*training*/) {
-  const Shape out_shape = output_shape(input.shape());
   cached_input_shape_ = input.shape();
+  return infer(input);
+}
+
+Tensor GlobalAvgPool::infer(const Tensor& input) {
+  const Shape out_shape = output_shape(input.shape());
   Tensor out(out_shape);
   const std::int64_t planes = input.shape().dim(0) * input.shape().dim(1);
   const std::int64_t hw = input.shape().dim(2) * input.shape().dim(3);

@@ -33,6 +33,7 @@ class AvgPool2d final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::string name() const override;
 
@@ -47,6 +48,7 @@ class GlobalAvgPool final : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::string name() const override { return "GlobalAvgPool"; }
 

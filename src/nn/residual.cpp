@@ -46,7 +46,18 @@ Tensor ResidualBlock::forward(const Tensor& input, bool training) {
 }
 
 Tensor ResidualBlock::infer(const Tensor& input) {
-  if (!planner_enabled()) return forward(input, /*training=*/false);
+  if (!planner_enabled()) {
+    // Unfused comparator: forward(x, false)'s layer sequence through each
+    // layer's cache-free infer().
+    Tensor main = bn1_.infer(conv1_.infer(input));
+    for (auto& v : main.data()) v = v > 0.0F ? v : 0.0F;
+    main = bn2_.infer(conv2_.infer(main));
+    Tensor sum = ops::add(
+        main, has_projection_ ? proj_bn_->infer(proj_conv_->infer(input))
+                              : input);
+    for (auto& v : sum.data()) v = v > 0.0F ? v : 0.0F;
+    return sum;
+  }
   // Fused inference: both main-path stages and the projection run as
   // epilogue-fused GEMMs (bias + eval BN, plus ReLU on stage 1) into arena
   // slabs — no intermediate Tensors, no backward caches. The residual join

@@ -22,7 +22,8 @@ class ResidualBlock final : public Layer {
   /// elementwise OUTSIDE the GEMM (the join reads two producers, so folding
   /// it into either would need the other materialized anyway — adding it
   /// post-fold keeps the exact ops::add float sequence). Bitwise identical
-  /// to forward(input, false); falls back to it when the planner is off.
+  /// to forward(input, false); with the planner off it runs the same layer
+  /// sequence through each layer's infer(). Touches no backward cache.
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override;

@@ -35,6 +35,11 @@ Sequential& Sequential::add(LayerPtr layer) {
 void Sequential::ensure_plan() {
   if (planned_version_ != structure_version_) {
     plan_ = ExecutionPlan::build(layers_);
+    first_param_layer_ = 0;
+    while (first_param_layer_ < layers_.size() &&
+           layers_[first_param_layer_]->parameters().empty()) {
+      ++first_param_layer_;
+    }
     planned_version_ = structure_version_;
   }
 }
@@ -119,31 +124,51 @@ Tensor Sequential::forward_planned(const Tensor& input, bool training) {
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
-  if (last_forward_planned_) return backward_planned(grad_output);
+  return backward_to(grad_output, /*input_grad=*/true);
+}
+
+void Sequential::backward_params(const Tensor& grad_output) {
+  (void)backward_to(grad_output, /*input_grad=*/false);
+}
+
+Tensor Sequential::backward_to(const Tensor& grad_output, bool input_grad) {
+  if (last_forward_planned_) return backward_planned(grad_output, input_grad);
+  // Without the input gradient, layers below the lowest parameterized one
+  // have nothing to contribute, and that one skips its own input gradient.
+  const std::size_t stop = input_grad ? 0 : first_param_layer_;
   Tensor g = grad_output;
+  auto run_layer = [&](std::size_t i) {
+    if (i == stop && !input_grad) {
+      layers_[i]->backward_params(g);
+    } else {
+      g = layers_[i]->backward(g);
+    }
+  };
   if (obs::detail_at_least(2)) {
-    for (std::size_t i = layers_.size(); i-- > 0;) {
+    for (std::size_t i = layers_.size(); i-- > stop;) {
       obs::Span span(obs::trace(), "nn." + layers_[i]->name(), "nn");
       span.arg("dir", "backward");
       span.arg("index", static_cast<std::uint64_t>(i));
-      g = layers_[i]->backward(g);
+      run_layer(i);
     }
     return g;
   }
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    g = layers_[i]->backward(g);
-  }
+  for (std::size_t i = layers_.size(); i-- > stop;) run_layer(i);
   return g;
 }
 
-Tensor Sequential::backward_planned(const Tensor& grad_output) {
+Tensor Sequential::backward_planned(const Tensor& grad_output,
+                                    bool input_grad) {
   Tensor g = grad_output;
   auto& groups = plan_.groups();
+  const std::size_t stop = input_grad ? 0 : first_param_layer_;
   // Mirrors forward_planned exactly: groups that ran fused get the dReLU
   // mask applied to the incoming gradient on the cached fused OUTPUT
   // (out > 0 ⟺ pre-activation > 0, including -0.0 and NaN→0, so the
   // masked bytes equal ReLU::backward's result), scratch-buffered in the
-  // arena, then the producing layer's backward runs on those bytes.
+  // arena, then the producing layer's backward runs on those bytes. A
+  // fused group's producer is its first layer, so it is the stop layer
+  // whenever the stop falls inside that group.
   auto run_group = [&](FusedGroup& grp) {
     if (grp.ran_fused) {
       check_same_shape(g.shape(), grp.fused_out.shape(),
@@ -155,17 +180,26 @@ Tensor Sequential::backward_planned(const Tensor& grad_output) {
       for (std::size_t i = 0; i < gd.size(); ++i) {
         masked[i] = fd[i] > 0.0F ? gd[i] : 0.0F;
       }
+      const bool want_dx = input_grad || grp.begin != stop;
       g = (grp.conv != nullptr)
-              ? grp.conv->backward_from(masked, grp.fused_out.shape())
-              : grp.linear->backward_from(masked, grp.fused_out.shape());
+              ? grp.conv->backward_from(masked, grp.fused_out.shape(),
+                                        want_dx)
+              : grp.linear->backward_from(masked, grp.fused_out.shape(),
+                                          want_dx);
     } else {
-      for (std::size_t i = grp.end; i-- > grp.begin;) {
-        g = layers_[i]->backward(g);
+      for (std::size_t i = grp.end; i-- > std::max(grp.begin, stop);) {
+        if (i == stop && !input_grad) {
+          layers_[i]->backward_params(g);
+        } else {
+          g = layers_[i]->backward(g);
+        }
       }
     }
   };
+  // Groups that end at or below the stop layer have nothing left to do.
+  const auto live = [&](std::size_t gi) { return groups[gi].end > stop; };
   if (obs::detail_at_least(2)) {
-    for (std::size_t gi = groups.size(); gi-- > 0;) {
+    for (std::size_t gi = groups.size(); gi-- > 0 && live(gi);) {
       obs::Span span(obs::trace(),
                      "nn." + group_label(groups[gi], layers_), "nn");
       span.arg("dir", "backward");
@@ -174,18 +208,18 @@ Tensor Sequential::backward_planned(const Tensor& grad_output) {
     }
     return g;
   }
-  for (std::size_t gi = groups.size(); gi-- > 0;) run_group(groups[gi]);
+  for (std::size_t gi = groups.size(); gi-- > 0 && live(gi);) {
+    run_group(groups[gi]);
+  }
   return g;
 }
 
 Tensor Sequential::infer(const Tensor& input) {
   ensure_plan();
   if (!planner_enabled() || !plan_.has_fusion()) {
-    // Legacy eval loop — per-layer forward(x, false), the unfused
-    // comparator (keeps every layer's backward cache, as evaluate did
-    // before the planner existed).
+    // Unfused comparator: each layer's own cache-free infer().
     Tensor x = input;
-    for (const auto& layer : layers_) x = layer->forward(x, false);
+    for (const auto& layer : layers_) x = layer->infer(x);
     return x;
   }
   Tensor x = input;

@@ -23,10 +23,15 @@ class Sequential final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// backward() that stops at the lowest layer with parameters and has it
+  /// skip its input gradient (the platform's L1: the cut gradient goes no
+  /// further than the hospital). The parameter gradients are bitwise those
+  /// of backward().
+  void backward_params(const Tensor& grad_output) override;
   /// Plan-driven inference: fused groups (including inference-mode BN)
   /// chain through lifetime-colored workspace slabs; with the planner off,
-  /// falls back to the legacy per-layer forward(x, false) loop. Outputs are
-  /// bitwise identical either way.
+  /// falls back to a per-layer infer() loop. Outputs are bitwise identical
+  /// either way, and no layer's backward cache is touched.
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override;
@@ -67,7 +72,9 @@ class Sequential final : public Layer {
  private:
   void ensure_plan();
   Tensor forward_planned(const Tensor& input, bool training);
-  Tensor backward_planned(const Tensor& grad_output);
+  /// backward() (input_grad) or backward_params() (!input_grad).
+  Tensor backward_to(const Tensor& grad_output, bool input_grad);
+  Tensor backward_planned(const Tensor& grad_output, bool input_grad);
   /// Chains fused groups [g0, g1) of the plan through lifetime-colored
   /// arena slabs (inference only — no caches survive).
   Tensor infer_fused_run(const Tensor& input, std::size_t g0, std::size_t g1);
@@ -77,6 +84,9 @@ class Sequential final : public Layer {
   ExecutionPlan plan_;
   std::uint64_t structure_version_ = 0;
   std::uint64_t planned_version_ = ~std::uint64_t{0};
+  /// Index of the lowest layer with parameters (size() when none), set with
+  /// the plan: where backward_params() stops.
+  std::size_t first_param_layer_ = 0;
   bool last_forward_planned_ = false;
 };
 

@@ -1,12 +1,15 @@
 // Packed, register-blocked GEMM.
 //
 // Each kernel has three stages:
-//   1. Pack B once (calling thread) into NR-column panels, k-major with the
-//      NR columns interleaved, tail columns zero-padded.
-//   2. parallel_for over rows of C; each chunk packs its own A rows into
-//      MR-row blocks in its thread's workspace arena.
-//   3. An MR×NR micro-kernel (src/tensor/gemm_kernels.hpp) computes each C
-//      tile with one register accumulator per element, write-first.
+//   1. Pick the micro-kernel tile from n (gemmk::kernel_for) and pack B once
+//      (calling thread) into NR-column panels, k-major with the NR columns
+//      interleaved, tail columns zero-padded.
+//   2. parallel_for over MR-row blocks of C; each chunk packs its own A
+//      blocks in its thread's workspace arena — unless A was packed in
+//      advance (pack_lhs), in which case every chunk reads that pack.
+//   3. The one tile loop: an MR×NR micro-kernel (src/tensor/gemm_kernels.hpp)
+//      computes each C tile with one register accumulator per element,
+//      write-first.
 //
 // Determinism: every C element is the strict left fold
 //   c = a[i,0]*b[0,j]; c += a[i,1]*b[1,j]; ... (k ascending)
@@ -83,11 +86,11 @@ void check_sizes(std::int64_t m, std::int64_t n, std::int64_t k,
                  "gemm: span smaller than m/n/k imply");
 }
 
-/// Minimum rows per parallel chunk so each chunk does >= kParallelFlops
-/// multiply-adds (rows below that run serially inline).
-std::int64_t row_grain(std::int64_t n, std::int64_t k) {
-  const std::int64_t per_row = std::max<std::int64_t>(n * k, 1);
-  return std::max<std::int64_t>(1, kParallelFlops / per_row);
+/// Minimum MR-row blocks per parallel chunk so each chunk does
+/// >= kParallelFlops multiply-adds (blocks below that run serially inline).
+std::int64_t block_grain(std::int64_t n, std::int64_t k, std::int64_t mr) {
+  const std::int64_t per_block = std::max<std::int64_t>(n * k * mr, 1);
+  return std::max<std::int64_t>(1, kParallelFlops / per_block);
 }
 
 /// Handles the degenerate shapes every kernel shares: nothing to write when
@@ -189,32 +192,46 @@ void pack_a(AKind kind, std::int64_t m, std::int64_t k, const float* a,
   }
 }
 
-/// The shared driver behind gemm_nn/tn/nt. Preconditions: m, n, k >= 1 and
-/// spans validated. C rows are partitioned across threads; chunks never
-/// split a row, so any partition is bitwise identical to serial execution.
+/// The shared driver behind gemm_nn/tn/nt and gemm_lhs. Preconditions:
+/// m, n, k >= 1 and spans validated. With `pre` (from pack_lhs, for these
+/// m/n/k), A is read from that pack and `a` is unused; otherwise each chunk
+/// packs its own blocks of A. C is partitioned across threads by MR-row
+/// blocks; chunks never split a row, so any partition is bitwise identical
+/// to serial execution.
 void gemm_packed(AKind ak, BKind bk, std::int64_t m, std::int64_t n,
                  std::int64_t k, const float* a, const float* b, float* c,
-                 const gemmk::Epilogue* ep = nullptr) {
-  const gemmk::MicroKernel& mk = gemmk::active_kernel();
+                 const gemmk::Epilogue* ep = nullptr,
+                 const PackedLhs* pre = nullptr) {
+  const gemmk::MicroKernel& mk =
+      pre != nullptr ? *pre->kernel : gemmk::kernel_for(n);
   const std::int64_t mr_max = mk.block_rows;
   const std::int64_t nr_max = mk.panel_cols;
   const std::int64_t panels = (n + nr_max - 1) / nr_max;
+  const std::int64_t blocks = (m + mr_max - 1) / mr_max;
   // B is packed once by the calling thread and read by every worker; the
   // pool's fork ordering publishes it before any chunk runs.
   ws::WorkspaceScope bscope;
   float* bp = bscope.floats(checked_mul(panels * nr_max, k)).data();
   pack_b(bk, n, k, b, nr_max, bp);
-  parallel_for(0, m, row_grain(n, k), [&](std::int64_t r0, std::int64_t r1) {
-    // Each chunk packs its rows of A into its own thread's arena.
+  parallel_for(0, blocks, block_grain(n, k, mr_max),
+               [&](std::int64_t ib0, std::int64_t ib1) {
+    const std::int64_t r0 = ib0 * mr_max;
+    const std::int64_t r1 = std::min(m, ib1 * mr_max);
     ws::WorkspaceScope ascope;
-    const std::int64_t blocks = (r1 - r0 + mr_max - 1) / mr_max;
-    float* ap = ascope.floats(checked_mul(blocks * mr_max, k)).data();
-    pack_a(ak, m, k, a, r0, r1, mr_max, ap);
+    const float* ap = nullptr;
+    if (pre != nullptr) {
+      ap = pre->blocks + ib0 * k * mr_max;
+    } else {
+      // Each chunk packs its blocks of A into its own thread's arena.
+      float* own = ascope.floats(checked_mul((ib1 - ib0) * mr_max, k)).data();
+      pack_a(ak, m, k, a, r0, r1, mr_max, own);
+      ap = own;
+    }
     // A block (k*MR floats) stays hot in L1 while the B panels stream by.
-    for (std::int64_t ib = 0; ib < blocks; ++ib) {
-      const std::int64_t i0 = r0 + ib * mr_max;
-      const std::int64_t mr = std::min(mr_max, r1 - i0);
-      const float* ablock = ap + ib * k * mr_max;
+    for (std::int64_t ib = ib0; ib < ib1; ++ib) {
+      const std::int64_t i0 = ib * mr_max;
+      const std::int64_t mr = std::min(mr_max, m - i0);
+      const float* ablock = ap + (ib - ib0) * k * mr_max;
       for (std::int64_t jp = 0; jp < panels; ++jp) {
         const std::int64_t j0 = jp * nr_max;
         const std::int64_t nr = std::min(nr_max, n - j0);
@@ -225,35 +242,76 @@ void gemm_packed(AKind ak, BKind bk, std::int64_t m, std::int64_t n,
   });
 }
 
-/// Picks the widest micro-kernel this CPU supports; SPLITMED_GEMM_ISA
-/// narrows it (values: base, avx2, avx512 — unsupported requests fall back
-/// to the best available, never up).
-gemmk::MicroKernel pick_kernel() {
+/// Picks the widest micro-kernel variant this CPU supports;
+/// SPLITMED_GEMM_ISA narrows it (values: base, avx2, avx512 — unsupported
+/// requests fall back to the best available, never up).
+gemmk::KernelSet pick_kernels() {
 #if defined(__x86_64__) && defined(__GNUC__)
   const char* env = std::getenv("SPLITMED_GEMM_ISA");
   const std::string want = (env != nullptr) ? env : "";
   const bool has_avx2 = __builtin_cpu_supports("avx2") != 0;
   const bool has_avx512 = __builtin_cpu_supports("avx512f") != 0;
-  if (want == "base") return gemmk::base_kernel();
-  if (want == "avx2" && has_avx2) return gemmk::avx2_kernel();
-  if (want != "avx2" && has_avx512) return gemmk::avx512_kernel();
-  if (has_avx2) return gemmk::avx2_kernel();
+  if (want == "base") return gemmk::base_kernels();
+  if (want == "avx2" && has_avx2) return gemmk::avx2_kernels();
+  if (want != "avx2" && has_avx512) return gemmk::avx512_kernels();
+  if (has_avx2) return gemmk::avx2_kernels();
 #endif
-  return gemmk::base_kernel();
+  return gemmk::base_kernels();
 }
 
 }  // namespace
 
 namespace gemmk {
 
-const MicroKernel& active_kernel() {
-  static const MicroKernel kernel = pick_kernel();
-  return kernel;
+const KernelSet& active_kernels() {
+  static const KernelSet kernels = pick_kernels();
+  return kernels;
+}
+
+const MicroKernel& kernel_for(std::int64_t n) {
+  const KernelSet& set = active_kernels();
+  return n <= set.narrow.panel_cols ? set.narrow : set.wide;
 }
 
 }  // namespace gemmk
 
-const char* gemm_kernel_isa() { return gemmk::active_kernel().isa; }
+const char* gemm_kernel_isa() { return gemmk::active_kernels().wide.isa; }
+
+PackedLhs pack_lhs(bool transposed, std::int64_t m, std::int64_t n,
+                   std::int64_t k, std::span<const float> a,
+                   ws::WorkspaceScope& scope) {
+  SPLITMED_CHECK(m >= 0 && n >= 0 && k >= 0, "gemm: negative dimension");
+  SPLITMED_CHECK(a.size() >= static_cast<std::size_t>(checked_mul(m, k)),
+                 "pack_lhs: span smaller than m*k");
+  PackedLhs out;
+  out.m = m;
+  out.n = n;
+  out.k = k;
+  out.kernel = &gemmk::kernel_for(n);
+  const std::int64_t mr = out.kernel->block_rows;
+  const std::int64_t blocks = (m + mr - 1) / mr;
+  float* dst = scope.floats(checked_mul(blocks * mr, k)).data();
+  pack_a(transposed ? AKind::kTransposed : AKind::kNormal, m, k, a.data(), 0,
+         m, mr, dst);
+  out.blocks = dst;
+  return out;
+}
+
+void gemm_lhs(const PackedLhs& a, std::span<const float> b, std::span<float> c,
+              const gemmk::Epilogue* ep) {
+  const GemmTimer timer;
+  SPLITMED_CHECK(a.kernel != nullptr, "gemm_lhs: operand was never packed");
+  check_sizes(a.m, a.n, a.k, static_cast<std::size_t>(a.m * a.k), b.size(),
+              c.size());
+  if (handle_empty(a.m, a.n, a.k, c.data())) {
+    if (ep != nullptr && a.m > 0 && a.n > 0) {
+      apply_epilogue_full(a.m, a.n, c.data(), *ep);
+    }
+    return;
+  }
+  gemm_packed(AKind::kNormal, BKind::kNormal, a.m, a.n, a.k, nullptr,
+              b.data(), c.data(), ep, &a);
+}
 
 void gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k,
              std::span<const float> a, std::span<const float> b,

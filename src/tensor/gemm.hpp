@@ -9,6 +9,7 @@
 #include <span>
 
 #include "src/tensor/gemm_kernels.hpp"
+#include "src/tensor/workspace.hpp"
 
 namespace splitmed {
 
@@ -41,6 +42,33 @@ void gemm_nn_ep(std::int64_t m, std::int64_t n, std::int64_t k,
 void gemm_nt_ep(std::int64_t m, std::int64_t n, std::int64_t k,
                 std::span<const float> a, std::span<const float> b,
                 std::span<float> c, const gemmk::Epilogue& ep);
+
+/// A left operand packed once for a run of products that share it — a conv
+/// layer's weights against each sample's columns. The micro-kernel tile is
+/// chosen from n, so every product run with one pack has n columns.
+struct PackedLhs {
+  std::int64_t m = 0;
+  std::int64_t n = 0;
+  std::int64_t k = 0;
+  const gemmk::MicroKernel* kernel = nullptr;
+  const float* blocks = nullptr;  ///< ceil(m/MR) row blocks of k*MR floats
+};
+
+/// Packs A for products with n columns: A is [m,k], or [k,m] read
+/// transposed when `transposed` (as gemm_tn reads it). The pack lives in
+/// `scope`'s arena and stays valid while that scope and A live; nothing is
+/// cached past it.
+[[nodiscard]] PackedLhs pack_lhs(bool transposed, std::int64_t m,
+                                 std::int64_t n, std::int64_t k,
+                                 std::span<const float> a,
+                                 ws::WorkspaceScope& scope);
+
+/// C[m,n] = A * B[k,n] with A from pack_lhs — the tile loop gemm_nn and
+/// gemm_tn run, minus their A pack; bitwise equal to them. `ep` (nullable)
+/// is the write-back epilogue of gemm_nn_ep. Rows are split across threads
+/// unless the call is already inside a parallel region.
+void gemm_lhs(const PackedLhs& a, std::span<const float> b, std::span<float> c,
+              const gemmk::Epilogue* ep = nullptr);
 
 /// Serial naive reference kernels: the strict k-ascending, write-first left
 /// fold that the packed kernels above must reproduce BITWISE (asserted

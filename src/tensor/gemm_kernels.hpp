@@ -61,7 +61,7 @@ using MicroKernelFn = void (*)(std::int64_t k, const float* ap,
                                const Epilogue* ep, std::int64_t i0,
                                std::int64_t j0);
 
-/// One compiled variant plus the panel geometry its packing must use.
+/// One compiled tile plus the panel geometry its packing must use.
 struct MicroKernel {
   MicroKernelFn fn = nullptr;
   std::int64_t block_rows = 0;  ///< MR: A-panel interleave width.
@@ -69,19 +69,33 @@ struct MicroKernel {
   const char* isa = "";
 };
 
+/// One ISA variant's two tiles. `wide` is MR=4 rows by two vectors; `narrow`
+/// is MR=8 rows by one vector, for products whose n fits in one vector (a
+/// wide tile there would multiply mostly zero padding). Lanes are
+/// independent accumulators, so the tile choice never changes any C
+/// element's bits.
+struct KernelSet {
+  MicroKernel wide;
+  MicroKernel narrow;
+};
+
 /// Baseline variant, compiled with the project's default flags.
-MicroKernel base_kernel();
+KernelSet base_kernels();
 
 #if defined(__x86_64__) && defined(__GNUC__)
 /// Wider-vector variants; call only when the CPU supports the ISA.
-MicroKernel avx2_kernel();
-MicroKernel avx512_kernel();
+KernelSet avx2_kernels();
+KernelSet avx512_kernels();
 #endif
 
 /// The variant gemm_nn/tn/nt dispatch to: the widest ISA this CPU supports,
 /// overridable with SPLITMED_GEMM_ISA=base|avx2|avx512 (unsupported or
 /// unknown values fall back to the best supported variant). Resolved once
 /// per process.
-const MicroKernel& active_kernel();
+const KernelSet& active_kernels();
+
+/// The active variant's tile for a product with n columns: narrow when n
+/// fits in one vector, wide otherwise. The shape is the only selector.
+const MicroKernel& kernel_for(std::int64_t n);
 
 }  // namespace splitmed::gemmk

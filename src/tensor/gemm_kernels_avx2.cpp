@@ -13,7 +13,7 @@
 
 namespace splitmed::gemmk {
 
-MicroKernel avx2_kernel() { return {&micro_kernel, kMR, kNR, kIsaName}; }
+KernelSet avx2_kernels() { return kernel_set(kIsaName); }
 
 }  // namespace splitmed::gemmk
 

@@ -6,6 +6,6 @@
 
 namespace splitmed::gemmk {
 
-MicroKernel base_kernel() { return {&micro_kernel, kMR, kNR, "base"}; }
+KernelSet base_kernels() { return kernel_set("base"); }
 
 }  // namespace splitmed::gemmk

@@ -7,13 +7,15 @@
 // across variant TUs would silently route every variant through one ISA's
 // code, crashing CPUs that lack it. For the same reason this header may
 // include nothing beyond <cstdint> and gemm_kernels.hpp (types and plain
-// function declarations only — nothing with vague linkage).
+// function declarations only — nothing with vague linkage). The tile
+// template is instantiated inside the anonymous namespace, so its
+// instantiations have internal linkage too.
 //
 // The kernel is hand-vectorized with GCC/Clang vector extensions rather
 // than left to the auto-vectorizer (which produces shuffle-heavy code for
 // this accumulator shape). The vector width tracks the ISA macros the TU
-// was compiled with; MR×NR accumulators fill 8 vector registers at every
-// width.
+// was compiled with; both tiles' MR×NR accumulators fill 8 vector
+// registers at every width.
 //
 // Determinism: each C element is one accumulator advanced by exactly one
 // separately-rounded multiply and one add per k step, k ascending, seeded
@@ -73,37 +75,39 @@ inline VecF vsplat(float s) { return (VecF){s, s, s, s}; }
 #endif
 
 constexpr int kW = static_cast<int>(sizeof(VecF) / sizeof(float));
-constexpr int kMR = 4;        // A-block rows
-constexpr int kNV = 2;        // vectors per row
-constexpr int kNR = kW * kNV; // B-panel columns
 
 inline VecF vload(const float* p) {
   return *reinterpret_cast<const VecF*>(p);
 }
 inline void vstore(float* p, VecF v) { *reinterpret_cast<VecF*>(p) = v; }
 
+// One MR-row x NV-vector tile (NR = NV*kW columns). Instantiated twice per
+// ISA: 4 x 2 vectors (the general tile) and 8 x 1 vector (products whose n
+// fits in one vector); both fill 8 accumulator registers.
+template <int MR, int NV>
 void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
                   std::int64_t ldc, std::int64_t mr, std::int64_t nr,
                   const Epilogue* ep, std::int64_t i0, std::int64_t j0) {
-  VecF acc[kMR][kNV];
-  for (int r = 0; r < kMR; ++r) {
+  constexpr int NR = kW * NV;
+  VecF acc[MR][NV];
+  for (int r = 0; r < MR; ++r) {
     const VecF ar = vsplat(ap[r]);
-    for (int v = 0; v < kNV; ++v) acc[r][v] = ar * vload(bp + v * kW);
+    for (int v = 0; v < NV; ++v) acc[r][v] = ar * vload(bp + v * kW);
   }
   for (std::int64_t kk = 1; kk < k; ++kk) {
-    const float* a = ap + kk * kMR;
-    const float* b = bp + kk * kNR;
-    VecF bv[kNV];
-    for (int v = 0; v < kNV; ++v) bv[v] = vload(b + v * kW);
-    for (int r = 0; r < kMR; ++r) {
+    const float* a = ap + kk * MR;
+    const float* b = bp + kk * NR;
+    VecF bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = vload(b + v * kW);
+    for (int r = 0; r < MR; ++r) {
       const VecF ar = vsplat(a[r]);
-      for (int v = 0; v < kNV; ++v) acc[r][v] += ar * bv[v];
+      for (int v = 0; v < NV; ++v) acc[r][v] += ar * bv[v];
     }
   }
-  if (mr == kMR && nr == kNR) {
+  if (mr == MR && nr == NR) {
     if (ep == nullptr) {
-      for (int r = 0; r < kMR; ++r) {
-        for (int v = 0; v < kNV; ++v) vstore(c + r * ldc + v * kW, acc[r][v]);
+      for (int r = 0; r < MR; ++r) {
+        for (int v = 0; v < NV; ++v) vstore(c + r * ldc + v * kW, acc[r][v]);
       }
       return;
     }
@@ -114,8 +118,8 @@ void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
     // separately-rounded IEEE op per step (the vector ?: selects lanes,
     // matching `x > 0 ? x : 0` including -0.0 and NaN-to-zero).
     const VecF vzero = vsplat(0.0F);
-    for (int r = 0; r < kMR; ++r) {
-      for (int v = 0; v < kNV; ++v) {
+    for (int r = 0; r < MR; ++r) {
+      for (int v = 0; v < NV; ++v) {
         VecF x = acc[r][v];
         if (ep->bias != nullptr) {
           x = x + (ep->per_row ? vsplat(ep->bias[i0 + r])
@@ -146,9 +150,9 @@ void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
     // values are well-defined; identical floats to the full-tile path).
     // The epilogue runs scalarly on the live corner — elementwise, so bits
     // match the vector path exactly.
-    float tmp[kMR][kNR];
-    for (int r = 0; r < kMR; ++r) {
-      for (int v = 0; v < kNV; ++v) vstore(&tmp[r][v * kW], acc[r][v]);
+    float tmp[MR][NR];
+    for (int r = 0; r < MR; ++r) {
+      for (int v = 0; v < NV; ++v) vstore(&tmp[r][v * kW], acc[r][v]);
     }
     if (ep == nullptr) {
       for (std::int64_t r = 0; r < mr; ++r) {
@@ -168,23 +172,24 @@ void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
 #else  // portable scalar fallback, same fold
 
 constexpr const char* kIsaName = "scalar";
-constexpr int kMR = 4;
-constexpr int kNR = 8;
+constexpr int kW = 4;  // columns per "vector" of the scalar tiles
 
+template <int MR, int NV>
 void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
                   std::int64_t ldc, std::int64_t mr, std::int64_t nr,
                   const Epilogue* ep, std::int64_t i0, std::int64_t j0) {
-  float acc[kMR][kNR];
-  for (int r = 0; r < kMR; ++r) {
+  constexpr int NR = kW * NV;
+  float acc[MR][NR];
+  for (int r = 0; r < MR; ++r) {
     const float ar = ap[r];
-    for (int j = 0; j < kNR; ++j) acc[r][j] = ar * bp[j];
+    for (int j = 0; j < NR; ++j) acc[r][j] = ar * bp[j];
   }
   for (std::int64_t kk = 1; kk < k; ++kk) {
-    const float* a = ap + kk * kMR;
-    const float* b = bp + kk * kNR;
-    for (int r = 0; r < kMR; ++r) {
+    const float* a = ap + kk * MR;
+    const float* b = bp + kk * NR;
+    for (int r = 0; r < MR; ++r) {
       const float ar = a[r];
-      for (int j = 0; j < kNR; ++j) acc[r][j] += ar * b[j];
+      for (int j = 0; j < NR; ++j) acc[r][j] += ar * b[j];
     }
   }
   for (std::int64_t r = 0; r < mr; ++r) {
@@ -197,6 +202,12 @@ void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
 }
 
 #endif
+
+/// This TU's two tiles, labelled `isa`.
+inline KernelSet kernel_set(const char* isa) {
+  return {{&micro_kernel<4, 2>, 4, 2 * kW, isa},
+          {&micro_kernel<8, 1>, 8, kW, isa}};
+}
 
 }  // namespace
 }  // namespace splitmed::gemmk

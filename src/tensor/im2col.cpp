@@ -1,9 +1,11 @@
 #include "src/tensor/im2col.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/error.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/tensor/workspace.hpp"
 
 namespace splitmed {
 namespace {
@@ -38,6 +40,108 @@ std::int64_t channel_grain(const ConvGeometry& g) {
   return std::max<std::int64_t>(1, kParallelElems / per_channel);
 }
 
+void check_spans(const ConvGeometry& g, std::size_t image, std::size_t col) {
+  SPLITMED_CHECK(image >= static_cast<std::size_t>(g.channels * g.in_h * g.in_w),
+                 "im2col/col2im: image span too small");
+  SPLITMED_CHECK(col >= static_cast<std::size_t>(g.col_rows() * g.col_cols()),
+                 "im2col/col2im: col span too small");
+}
+
+/// One column row of a whole-plane geometry: output element i reads input
+/// element i + shift, for i in [begin, end) — except the `wrapped` runs
+/// [y*W + x1, (y+1)*W + x0) between consecutive output rows, whose shifted
+/// reads crossed a row end and belong to the padding. `empty` when the
+/// shift leaves no input inside the plane.
+struct PlaneShift {
+  std::int64_t shift = 0;
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+  std::int64_t y0 = 0;
+  std::int64_t y1 = 0;
+  std::int64_t x0 = 0;
+  std::int64_t x1 = 0;
+  [[nodiscard]] bool empty() const { return begin >= end; }
+};
+
+PlaneShift plane_shift(const ConvGeometry& g, std::int64_t kh,
+                       std::int64_t kw) {
+  const std::int64_t h = g.in_h, w = g.in_w;
+  const std::int64_t dy = kh - g.pad, dx = kw - g.pad;
+  PlaneShift p;
+  p.shift = dy * w + dx;
+  p.y0 = std::max<std::int64_t>(0, -dy);
+  p.y1 = std::min(h, h - dy);
+  p.x0 = std::max<std::int64_t>(0, -dx);
+  p.x1 = std::min(w, w - dx);
+  if (p.y0 < p.y1 && p.x0 < p.x1) {
+    p.begin = p.y0 * w + p.x0;
+    p.end = (p.y1 - 1) * w + p.x1;
+  }
+  return p;
+}
+
+void im2col_planes(const ConvGeometry& g, const float* image, float* col) {
+  const std::int64_t w = g.in_w, hw = g.in_h * g.in_w;
+  parallel_for(0, g.channels, channel_grain(g), [&](std::int64_t c0,
+                                                    std::int64_t c1) {
+    for (std::int64_t c = c0; c < c1; ++c) {
+      const float* chan = image + c * hw;
+      float* out = col + c * g.kernel_h * g.kernel_w * hw;
+      for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, out += hw) {
+          const PlaneShift p = plane_shift(g, kh, kw);
+          if (p.empty()) {
+            std::fill(out, out + hw, 0.0F);
+            continue;
+          }
+          std::fill(out, out + p.begin, 0.0F);
+          std::memcpy(out + p.begin, chan + p.begin + p.shift,
+                      static_cast<std::size_t>(p.end - p.begin) *
+                          sizeof(float));
+          std::fill(out + p.end, out + hw, 0.0F);
+          for (std::int64_t y = p.y0; y + 1 < p.y1; ++y) {
+            std::fill(out + y * w + p.x1, out + (y + 1) * w + p.x0, 0.0F);
+          }
+        }
+      }
+    }
+  });
+}
+
+void col2im_planes(const ConvGeometry& g, const float* col, float* image) {
+  const std::int64_t w = g.in_w, hw = g.in_h * g.in_w;
+  parallel_for(0, g.channels, channel_grain(g), [&](std::int64_t c0,
+                                                    std::int64_t c1) {
+    // The flat add also lands on the wrapped runs' targets; they are saved
+    // first and put back, so each image element gets exactly the (kh, kw)
+    // contributions of the row-wise loop, in the same order.
+    ws::WorkspaceScope scope;
+    float* saved = scope.floats(g.in_h * g.pad).data();
+    for (std::int64_t c = c0; c < c1; ++c) {
+      float* chan = image + c * hw;
+      const float* in = col + c * g.kernel_h * g.kernel_w * hw;
+      for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, in += hw) {
+          const PlaneShift p = plane_shift(g, kh, kw);
+          if (p.empty()) continue;
+          const std::int64_t run = w - p.x1 + p.x0;  // |kw - pad|
+          for (std::int64_t y = p.y0; y + 1 < p.y1; ++y) {
+            std::copy_n(chan + y * w + p.x1 + p.shift, run,
+                        saved + (y - p.y0) * run);
+          }
+          float* dst = chan + p.begin + p.shift;
+          const float* src = in + p.begin;
+          for (std::int64_t i = 0; i < p.end - p.begin; ++i) dst[i] += src[i];
+          for (std::int64_t y = p.y0; y + 1 < p.y1; ++y) {
+            std::copy_n(saved + (y - p.y0) * run, run,
+                        chan + y * w + p.x1 + p.shift);
+          }
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 
 void ConvGeometry::validate() const {
@@ -52,12 +156,21 @@ void ConvGeometry::validate() const {
 
 void im2col(const ConvGeometry& g, std::span<const float> image,
             std::span<float> col) {
-  SPLITMED_CHECK(image.size() >=
-                     static_cast<std::size_t>(g.channels * g.in_h * g.in_w),
-                 "im2col: image span too small");
-  SPLITMED_CHECK(col.size() >=
-                     static_cast<std::size_t>(g.col_rows() * g.col_cols()),
-                 "im2col: col span too small");
+  if (!g.whole_plane()) return im2col_rows(g, image, col);
+  check_spans(g, image.size(), col.size());
+  im2col_planes(g, image.data(), col.data());
+}
+
+void col2im(const ConvGeometry& g, std::span<const float> col,
+            std::span<float> image) {
+  if (!g.whole_plane()) return col2im_rows(g, col, image);
+  check_spans(g, image.size(), col.size());
+  col2im_planes(g, col.data(), image.data());
+}
+
+void im2col_rows(const ConvGeometry& g, std::span<const float> image,
+                 std::span<float> col) {
+  check_spans(g, image.size(), col.size());
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   // Channel c fills exactly col rows [c*kh*kw, (c+1)*kh*kw) from its own
   // image plane — disjoint reads and writes, so any channel partition is
@@ -101,14 +214,9 @@ void im2col(const ConvGeometry& g, std::span<const float> image,
   });
 }
 
-void col2im(const ConvGeometry& g, std::span<const float> col,
-            std::span<float> image) {
-  SPLITMED_CHECK(image.size() >=
-                     static_cast<std::size_t>(g.channels * g.in_h * g.in_w),
-                 "col2im: image span too small");
-  SPLITMED_CHECK(col.size() >=
-                     static_cast<std::size_t>(g.col_rows() * g.col_cols()),
-                 "col2im: col span too small");
+void col2im_rows(const ConvGeometry& g, std::span<const float> col,
+                 std::span<float> image) {
+  check_spans(g, image.size(), col.size());
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   // Channel c accumulates only into its own image plane, from its own col
   // rows, in the serial kh/kw/y/x order — the accumulation order within a

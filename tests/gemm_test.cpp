@@ -128,13 +128,18 @@ bool bitwise_equal(const std::vector<float>& x, const std::vector<float>& y) {
 // (padded tails, partial blocks) and every thread count (row partitioning
 // never regroups a fold). EXPECT_NEAR would hide regressions here; only
 // memcmp proves the fold was preserved.
+//
+// n also takes 4, 8 and 16: one full vector at each of the base, AVX2 and
+// AVX-512 widths, where the driver switches to the narrow 8-row tile.
+// gemm_lhs (A packed once by pack_lhs) must match the same references.
 TEST(GemmBitwise, PackedMatchesReferenceAcrossShapesAndThreads) {
   const std::int64_t dims[] = {1, 3, 7, 17, 33, 64, 130};
+  const std::int64_t ns[] = {1, 3, 4, 7, 8, 16, 17, 33, 64, 130};
   PoolGuard guard;
   for (const int threads : {1, 2, 8}) {
     set_global_threads(threads);
     for (const std::int64_t m : dims) {
-      for (const std::int64_t n : dims) {
+      for (const std::int64_t n : ns) {
         for (const std::int64_t k : dims) {
           Rng rng(static_cast<std::uint64_t>((m * 131 + n) * 131 + k));
           std::vector<float> amk(static_cast<std::size_t>(m * k));
@@ -153,12 +158,28 @@ TEST(GemmBitwise, PackedMatchesReferenceAcrossShapesAndThreads) {
           EXPECT_TRUE(bitwise_equal(c, ref))
               << "nn " << m << 'x' << n << 'x' << k << " threads=" << threads
               << " isa=" << gemm_kernel_isa();
+          {
+            ws::WorkspaceScope scope;
+            std::fill(c.begin(), c.end(), -2.0F);
+            gemm_lhs(pack_lhs(false, m, n, k, amk, scope), bkn, c);
+            EXPECT_TRUE(bitwise_equal(c, ref))
+                << "lhs nn " << m << 'x' << n << 'x' << k
+                << " threads=" << threads << " isa=" << gemm_kernel_isa();
+          }
 
           gemm_tn(m, n, k, akm, bkn, c);
           gemm_tn_ref(m, n, k, akm, bkn, ref);
           EXPECT_TRUE(bitwise_equal(c, ref))
               << "tn " << m << 'x' << n << 'x' << k << " threads=" << threads
               << " isa=" << gemm_kernel_isa();
+          {
+            ws::WorkspaceScope scope;
+            std::fill(c.begin(), c.end(), -2.0F);
+            gemm_lhs(pack_lhs(true, m, n, k, akm, scope), bkn, c);
+            EXPECT_TRUE(bitwise_equal(c, ref))
+                << "lhs tn " << m << 'x' << n << 'x' << k
+                << " threads=" << threads << " isa=" << gemm_kernel_isa();
+          }
 
           gemm_nt(m, n, k, amk, bnk, c);
           gemm_nt_ref(m, n, k, amk, bnk, ref);
@@ -185,6 +206,10 @@ TEST(GemmBitwise, ZeroDimsMatchReference) {
     gemm_nn(m, n, k, a, b, c);
     gemm_nn_ref(m, n, k, a, b, ref);
     EXPECT_TRUE(bitwise_equal(c, ref)) << m << 'x' << n << 'x' << k;
+    ws::WorkspaceScope scope;
+    std::fill(c.begin(), c.end(), -1.0F);
+    gemm_lhs(pack_lhs(false, m, n, k, a, scope), b, c);
+    EXPECT_TRUE(bitwise_equal(c, ref)) << "lhs " << m << 'x' << n << 'x' << k;
   }
 }
 
@@ -264,6 +289,14 @@ TEST(GemmEpilogue, FusedWriteBackMatchesUnfusedBitwise) {
             EXPECT_TRUE(bitwise_equal(c, ref))
                 << "nn_ep[" << e << "] " << m << 'x' << n << 'x' << k
                 << " threads=" << threads << " isa=" << gemm_kernel_isa();
+            {
+              ws::WorkspaceScope scope;
+              std::fill(c.begin(), c.end(), -2.0F);
+              gemm_lhs(pack_lhs(false, m, n, k, a, scope), bkn, c, &eps[e]);
+              EXPECT_TRUE(bitwise_equal(c, ref))
+                  << "lhs_ep[" << e << "] " << m << 'x' << n << 'x' << k
+                  << " threads=" << threads << " isa=" << gemm_kernel_isa();
+            }
 
             gemm_nt_ep(m, n, k, a, bnk, c, eps[e]);
             gemm_nt(m, n, k, a, bnk, ref);

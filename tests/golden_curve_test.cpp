@@ -46,14 +46,38 @@ core::ModelBuilder builder() {
   };
 }
 
+std::uint64_t fnv1a(std::uint64_t h, std::span<const float> values) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  for (std::size_t i = 0; i < values.size_bytes(); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t parameter_fingerprint(core::SplitTrainer& trainer) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t p = 0; p < trainer.num_platforms(); ++p) {
+    for (nn::Parameter* param : trainer.platform(p).l1().parameters()) {
+      h = fnv1a(h, param->value.data());
+    }
+  }
+  for (nn::Parameter* param : trainer.server().body().parameters()) {
+    h = fnv1a(h, param->value.data());
+  }
+  return h;
+}
+
 /// The fixed-seed reference run. `tweak` mutates the config after the golden
 /// settings are applied — used to assert that a feature (e.g. observability)
 /// is bitwise inert: the tweaked run must still match the pinned fingerprint.
 /// `ledger_fingerprint`, when given, receives the membership ledger's
-/// fingerprint (0 when membership is off).
+/// fingerprint (0 when membership is off); `parameters`, when given, the
+/// parameter_fingerprint of the trained model.
 metrics::TrainReport golden_run(
     const std::function<void(core::SplitConfig&)>& tweak = nullptr,
-    std::uint64_t* ledger_fingerprint = nullptr) {
+    std::uint64_t* ledger_fingerprint = nullptr,
+    std::uint64_t* parameters = nullptr) {
   data::SyntheticCifarOptions opt;
   opt.num_examples = 96;
   opt.num_classes = 4;
@@ -92,6 +116,7 @@ metrics::TrainReport golden_run(
                               ? trainer.membership()->ledger().fingerprint()
                               : 0;
   }
+  if (parameters != nullptr) *parameters = parameter_fingerprint(trainer);
   return report;
 }
 
@@ -520,6 +545,17 @@ const RunGolden kGoldenOverlapped = {
     0ULL};
 const RunGolden kGoldenBoundedStaleness = {
     {66240}, {23}, {23}, {0.357486784}, {0, 0, 0, 0, 0, 0}, 0ULL};
+const RunGolden kGoldenBoundedStalenessEveryRound = {
+    {4416, 8832, 17552, 22080, 26496, 33120, 37536, 42064, 48464, 55312,
+     59616, 66240},
+    {77, 54, 46, 44, 43, 38, 39, 34, 34, 33, 33, 23},
+    {9, 11, 12, 8, 14, 17, 19, 17, 21, 20, 19, 23},
+    {0.020035328000000002, 0.080123648000000006, 0.10015897600000002,
+     0.15619159466666666, 0.17622692266666667, 0.19626225066666669,
+     0.21527641600000003, 0.25635057066666667, 0.26533958400000002,
+     0.31643889066666664, 0.32542790399999999, 0.357486784},
+    {0, 0, 0, 0, 0, 0},
+    0ULL};
 
 TEST(GoldenPaths, FaultedRunWithAbandonedStepsMatchesFingerprint) {
   std::uint64_t ledger = 0;
@@ -552,10 +588,58 @@ TEST(GoldenPaths, OverlappedRunMatchesFingerprint) {
   expect_run_fingerprint(report, ledger, kGoldenOverlapped, "overlapped");
 }
 
+/// kBoundedStaleness at S=1 with participation 0.6, evaluating every
+/// `eval_every` rounds of 12.
+std::function<void(core::SplitConfig&)> bounded_staleness(int eval_every) {
+  return [eval_every](core::SplitConfig& cfg) {
+    cfg.schedule = core::Schedule::kBoundedStaleness;
+    cfg.staleness_bound = 1;
+    cfg.participation = 0.6;
+    cfg.rounds = 12;
+    cfg.eval_every = eval_every;
+  };
+}
+
+TEST(GoldenPaths, EvaluationLeavesInFlightStepsAlone) {
+  // Evaluating every round runs L1 and server inference while a straggler's
+  // step is in flight. infer() touches no backward cache, so the run must
+  // train exactly like the one evaluating only at the final drain: same
+  // bytes, train loss, clock and accuracy there, same final parameters.
+  // (While infer() fell back to forward(x, false), this run threw
+  // `reshape [4, 192] -> [32, 3, 8, 8]` in the straggler's backward.) With
+  // the planner off every layer runs its own infer(), the server's Linear
+  // layers included.
+  for (const bool planner : {true, false}) {
+    nn::set_planner_enabled(planner);
+    const std::string tag = planner ? "planner on" : "planner off";
+    std::uint64_t ledger = 0;
+    std::uint64_t params_every = 0;
+    std::uint64_t params_end = 0;
+    const auto every =
+        golden_run(bounded_staleness(1), &ledger, &params_every);
+    const auto at_end =
+        golden_run(bounded_staleness(12), nullptr, &params_end);
+    nn::set_planner_enabled(true);
+    ASSERT_EQ(every.curve.size(), 12U) << tag;
+    ASSERT_EQ(at_end.curve.size(), 1U) << tag;
+    EXPECT_EQ(every.curve.back().cumulative_bytes,
+              at_end.curve.back().cumulative_bytes) << tag;
+    EXPECT_EQ(every.curve.back().train_loss, at_end.curve.back().train_loss)
+        << tag;
+    EXPECT_EQ(every.curve.back().sim_seconds,
+              at_end.curve.back().sim_seconds) << tag;
+    EXPECT_EQ(every.curve.back().test_accuracy,
+              at_end.curve.back().test_accuracy) << tag;
+    EXPECT_EQ(params_every, params_end) << tag;
+    expect_run_fingerprint(
+        every, ledger, kGoldenBoundedStalenessEveryRound,
+        ("bounded staleness, evaluating every round, " + tag).c_str());
+  }
+}
+
 TEST(GoldenPaths, BoundedStalenessRunMatchesFingerprint) {
-  // One curve point, at the final full drain: evaluating while a straggler
-  // is still in flight runs L1 inference over that step's forward caches
-  // (an open ROADMAP item), so mid-run evaluation is kept out of this pin.
+  // One curve point, at the final full drain. Mid-run evaluation with a
+  // straggler in flight is pinned by EvaluationLeavesInFlightStepsAlone.
   std::uint64_t ledger = 0;
   const auto report = golden_run(
       [](core::SplitConfig& cfg) {
@@ -587,28 +671,6 @@ struct ConvGolden {
   /// order), then every server parameter.
   std::uint64_t params = 0;
 };
-
-std::uint64_t fnv1a(std::uint64_t h, std::span<const float> values) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
-  for (std::size_t i = 0; i < values.size_bytes(); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t parameter_fingerprint(core::SplitTrainer& trainer) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t p = 0; p < trainer.num_platforms(); ++p) {
-    for (nn::Parameter* param : trainer.platform(p).l1().parameters()) {
-      h = fnv1a(h, param->value.data());
-    }
-  }
-  for (nn::Parameter* param : trainer.server().body().parameters()) {
-    h = fnv1a(h, param->value.data());
-  }
-  return h;
-}
 
 ConvGolden conv_run(const std::string& model, WireCodec codec, int threads) {
   data::SyntheticCifarOptions opt;

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
@@ -160,6 +163,61 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   EXPECT_EQ(gin[1], 5.0F);
   EXPECT_EQ(gin[2], 0.0F);
   EXPECT_EQ(gin[3], 0.0F);
+}
+
+TEST(MaxPool2d, WindowWithoutMaximumKeepsGradientInItsPlane) {
+  // A window whose values are all NaN or all -inf has no element above the
+  // -inf the scan starts from. Its gradient must still land in its own
+  // (sample, channel) plane — on the window's first element — and never in
+  // another plane, which would also race under the parallel scatter. Enough
+  // planes that the backward splits into several chunks at 3 threads.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  const std::int64_t batch = 4, ch = 40, hw = 32;
+  Rng rng(23);
+  Tensor x = Tensor::normal(Shape{batch, ch, hw, hw}, rng);
+  auto xd = x.data();
+  const auto at = [&](std::int64_t b, std::int64_t c, std::int64_t y,
+                      std::int64_t xx) {
+    return static_cast<std::size_t>(((b * ch + c) * hw + y) * hw + xx);
+  };
+  for (std::int64_t b = 1; b < batch; ++b) {
+    for (std::int64_t c = 1; c < ch; c += 7) {
+      for (const std::int64_t y : {0, 1}) {  // window (0, 0): all NaN
+        for (const std::int64_t xx : {0, 1}) xd[at(b, c, y, xx)] = nan;
+      }
+      for (const std::int64_t y : {6, 7}) {  // window (3, 2): all -inf
+        for (const std::int64_t xx : {4, 5}) xd[at(b, c, y, xx)] = ninf;
+      }
+    }
+  }
+  std::vector<float> grads[2];
+  const int thread_counts[2] = {1, 3};
+  for (int t = 0; t < 2; ++t) {
+    set_global_threads(thread_counts[t]);
+    nn::MaxPool2d pool(2);
+    const Tensor y = pool.forward(x, true);
+    const Tensor g = Tensor::full(y.shape(), 1.0F);
+    const Tensor gin = pool.backward(g);
+    grads[t].assign(gin.data().begin(), gin.data().end());
+  }
+  set_global_threads(0);
+  // Every plane gets exactly one unit of gradient per window.
+  const std::int64_t plane = hw * hw;
+  for (std::int64_t p = 0; p < batch * ch; ++p) {
+    float sum = 0.0F;
+    for (std::int64_t i = 0; i < plane; ++i) {
+      sum += grads[0][static_cast<std::size_t>(p * plane + i)];
+    }
+    EXPECT_EQ(sum, static_cast<float>(plane / 4)) << "plane " << p;
+  }
+  EXPECT_EQ(grads[0][at(1, 1, 0, 0)], 1.0F);  // the NaN window's first
+  EXPECT_EQ(grads[0][at(1, 1, 6, 4)], 1.0F);  // the -inf window's first
+  ASSERT_EQ(grads[0].size(), grads[1].size());
+  EXPECT_EQ(std::memcmp(grads[0].data(), grads[1].data(),
+                        grads[0].size() * sizeof(float)),
+            0)
+      << "MaxPool2d backward differs between 1 and 3 threads";
 }
 
 TEST(MaxPool2d, WindowTooLargeThrows) {
