@@ -1,5 +1,6 @@
 #include "src/nn/sequential.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -137,24 +138,28 @@ Tensor Sequential::backward_to(const Tensor& grad_output, bool input_grad) {
   // have nothing to contribute, and that one skips its own input gradient.
   const std::size_t stop = input_grad ? 0 : first_param_layer_;
   Tensor g = grad_output;
-  auto run_layer = [&](std::size_t i) {
-    if (i == stop && !input_grad) {
-      layers_[i]->backward_params(g);
-    } else {
-      g = layers_[i]->backward(g);
-    }
-  };
   if (obs::detail_at_least(2)) {
     for (std::size_t i = layers_.size(); i-- > stop;) {
       obs::Span span(obs::trace(), "nn." + layers_[i]->name(), "nn");
       span.arg("dir", "backward");
       span.arg("index", static_cast<std::uint64_t>(i));
-      run_layer(i);
+      backward_layer(i, stop, input_grad, g);
     }
     return g;
   }
-  for (std::size_t i = layers_.size(); i-- > stop;) run_layer(i);
+  for (std::size_t i = layers_.size(); i-- > stop;) {
+    backward_layer(i, stop, input_grad, g);
+  }
   return g;
+}
+
+void Sequential::backward_layer(std::size_t i, std::size_t stop,
+                                bool input_grad, Tensor& g) {
+  if (i == stop && !input_grad) {
+    layers_[i]->backward_params(g);
+  } else {
+    g = layers_[i]->backward(g);
+  }
 }
 
 Tensor Sequential::backward_planned(const Tensor& grad_output,
@@ -188,11 +193,7 @@ Tensor Sequential::backward_planned(const Tensor& grad_output,
                                           want_dx);
     } else {
       for (std::size_t i = grp.end; i-- > std::max(grp.begin, stop);) {
-        if (i == stop && !input_grad) {
-          layers_[i]->backward_params(g);
-        } else {
-          g = layers_[i]->backward(g);
-        }
+        backward_layer(i, stop, input_grad, g);
       }
     }
   };

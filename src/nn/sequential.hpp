@@ -72,9 +72,15 @@ class Sequential final : public Layer {
  private:
   void ensure_plan();
   Tensor forward_planned(const Tensor& input, bool training);
-  /// backward() (input_grad) or backward_params() (!input_grad).
+  /// backward() (input_grad) or backward_params() (!input_grad). Without
+  /// the input gradient, layers below `first_param_layer_` are skipped and
+  /// that layer runs backward_params().
   Tensor backward_to(const Tensor& grad_output, bool input_grad);
   Tensor backward_planned(const Tensor& grad_output, bool input_grad);
+  /// g = layer i's backward(g); the `stop` layer of a parameter-only
+  /// backward runs backward_params(g) instead and leaves g as it was.
+  void backward_layer(std::size_t i, std::size_t stop, bool input_grad,
+                      Tensor& g);
   /// Chains fused groups [g0, g1) of the plan through lifetime-colored
   /// arena slabs (inference only — no caches survive).
   Tensor infer_fused_run(const Tensor& input, std::size_t g0, std::size_t g1);

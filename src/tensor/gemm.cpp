@@ -343,19 +343,6 @@ void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k,
               c.data());
 }
 
-void gemm_nn_ep(std::int64_t m, std::int64_t n, std::int64_t k,
-                std::span<const float> a, std::span<const float> b,
-                std::span<float> c, const gemmk::Epilogue& ep) {
-  const GemmTimer timer;
-  check_sizes(m, n, k, a.size(), b.size(), c.size());
-  if (handle_empty(m, n, k, c.data())) {
-    if (m > 0 && n > 0) apply_epilogue_full(m, n, c.data(), ep);
-    return;
-  }
-  gemm_packed(AKind::kNormal, BKind::kNormal, m, n, k, a.data(), b.data(),
-              c.data(), &ep);
-}
-
 void gemm_nt_ep(std::int64_t m, std::int64_t n, std::int64_t k,
                 std::span<const float> a, std::span<const float> b,
                 std::span<float> c, const gemmk::Epilogue& ep) {

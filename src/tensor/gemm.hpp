@@ -28,17 +28,12 @@ void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c);
 
-/// gemm_nn with a fused write-back epilogue (gemmk::Epilogue): each C
+/// gemm_nt with a fused write-back epilogue (gemmk::Epilogue): each C
 /// element gets the elementwise tail applied AFTER its k-fold completes, at
-/// write-back — bitwise identical to gemm_nn followed by the same
+/// write-back — bitwise identical to gemm_nt followed by the same
 /// elementwise passes, for any thread count and ISA variant. When k <= 0
 /// the epilogue is applied to the zero matrix (matching the unfused
 /// sequence). Parameter spans must cover m (per_row) or n (per-column).
-void gemm_nn_ep(std::int64_t m, std::int64_t n, std::int64_t k,
-                std::span<const float> a, std::span<const float> b,
-                std::span<float> c, const gemmk::Epilogue& ep);
-
-/// gemm_nt with a fused write-back epilogue; see gemm_nn_ep.
 void gemm_nt_ep(std::int64_t m, std::int64_t n, std::int64_t k,
                 std::span<const float> a, std::span<const float> b,
                 std::span<float> c, const gemmk::Epilogue& ep);
@@ -65,8 +60,8 @@ struct PackedLhs {
 
 /// C[m,n] = A * B[k,n] with A from pack_lhs — the tile loop gemm_nn and
 /// gemm_tn run, minus their A pack; bitwise equal to them. `ep` (nullable)
-/// is the write-back epilogue of gemm_nn_ep. Rows are split across threads
-/// unless the call is already inside a parallel region.
+/// is a write-back epilogue, as in gemm_nt_ep. Rows are split across
+/// threads unless the call is already inside a parallel region.
 void gemm_lhs(const PackedLhs& a, std::span<const float> b, std::span<float> c,
               const gemmk::Epilogue* ep = nullptr);
 

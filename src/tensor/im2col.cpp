@@ -41,7 +41,8 @@ std::int64_t channel_grain(const ConvGeometry& g) {
 }
 
 void check_spans(const ConvGeometry& g, std::size_t image, std::size_t col) {
-  SPLITMED_CHECK(image >= static_cast<std::size_t>(g.channels * g.in_h * g.in_w),
+  SPLITMED_CHECK(
+      image >= static_cast<std::size_t>(g.channels * g.in_h * g.in_w),
                  "im2col/col2im: image span too small");
   SPLITMED_CHECK(col >= static_cast<std::size_t>(g.col_rows() * g.col_cols()),
                  "im2col/col2im: col span too small");

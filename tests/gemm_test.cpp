@@ -235,7 +235,7 @@ void apply_epilogue_ref(std::int64_t m, std::int64_t n, std::vector<float>& c,
   }
 }
 
-// Fused-epilogue bitwise sweep: gemm_nn_ep / gemm_nt_ep against plain GEMM +
+// Fused-epilogue bitwise sweep: gemm_lhs / gemm_nt_ep against plain GEMM +
 // the scalar reference epilogue, across shapes (full tiles, padded tails),
 // thread counts, bias orientation, and every legal epilogue composition.
 // Run under all three ISA variants via the gemm_test_base_isa / avx dispatch
@@ -283,20 +283,15 @@ TEST(GemmEpilogue, FusedWriteBackMatchesUnfusedBitwise) {
           std::vector<float> c(static_cast<std::size_t>(m * n), -2.0F);
           std::vector<float> ref(static_cast<std::size_t>(m * n), -3.0F);
           for (int e = 0; e < 3; ++e) {
-            gemm_nn_ep(m, n, k, a, bkn, c, eps[e]);
+            {
+              ws::WorkspaceScope scope;
+              gemm_lhs(pack_lhs(false, m, n, k, a, scope), bkn, c, &eps[e]);
+            }
             gemm_nn(m, n, k, a, bkn, ref);
             apply_epilogue_ref(m, n, ref, eps[e]);
             EXPECT_TRUE(bitwise_equal(c, ref))
-                << "nn_ep[" << e << "] " << m << 'x' << n << 'x' << k
+                << "lhs_ep[" << e << "] " << m << 'x' << n << 'x' << k
                 << " threads=" << threads << " isa=" << gemm_kernel_isa();
-            {
-              ws::WorkspaceScope scope;
-              std::fill(c.begin(), c.end(), -2.0F);
-              gemm_lhs(pack_lhs(false, m, n, k, a, scope), bkn, c, &eps[e]);
-              EXPECT_TRUE(bitwise_equal(c, ref))
-                  << "lhs_ep[" << e << "] " << m << 'x' << n << 'x' << k
-                  << " threads=" << threads << " isa=" << gemm_kernel_isa();
-            }
 
             gemm_nt_ep(m, n, k, a, bnk, c, eps[e]);
             gemm_nt(m, n, k, a, bnk, ref);
@@ -320,7 +315,8 @@ TEST(GemmEpilogue, ZeroKAppliesEpilogueToZeroMatrix) {
   ep.relu = true;
   ep.per_row = false;
   std::vector<float> c(2 * 3, -7.0F);
-  gemm_nn_ep(2, 3, 0, {}, {}, c, ep);
+  ws::WorkspaceScope scope;
+  gemm_lhs(pack_lhs(false, 2, 3, 0, {}, scope), {}, c, &ep);
   std::vector<float> ref(2 * 3, 0.0F);
   apply_epilogue_ref(2, 3, ref, ep);
   EXPECT_TRUE(bitwise_equal(c, ref));
@@ -348,7 +344,10 @@ TEST(GemmEpilogue, NegativeZeroAndNanFollowScalarRelu) {
   ep.relu = true;
   ep.per_row = false;
   std::vector<float> c(static_cast<std::size_t>(n), -1.0F);
-  gemm_nn_ep(1, n, 1, a, b, c, ep);
+  {
+    ws::WorkspaceScope scope;
+    gemm_lhs(pack_lhs(false, 1, n, 1, a, scope), b, c, &ep);
+  }
   std::vector<float> ref(static_cast<std::size_t>(n), -1.0F);
   gemm_nn(1, n, 1, a, b, ref);
   apply_epilogue_ref(1, n, ref, ep);

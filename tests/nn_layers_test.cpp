@@ -374,6 +374,50 @@ TEST(Flatten, CollapsesTrailingDims) {
   EXPECT_EQ(g.shape(), Shape({2, 3, 4}));
 }
 
+TEST(Layers, InferLeavesThePendingBackwardAlone) {
+  // infer() equals forward(x, false) bitwise, and a backward pending from a
+  // training forward is unchanged by an infer() in between — even at
+  // another batch size, as when evaluation runs while a step is in flight.
+  const auto make = [](int which, Rng& rng) -> nn::LayerPtr {
+    switch (which) {
+      case 0: return std::make_unique<nn::Tanh>();
+      case 1: return std::make_unique<nn::Sigmoid>();
+      case 2: return std::make_unique<nn::Dropout>(0.5F, rng);
+      case 3: return std::make_unique<nn::Flatten>();
+      case 4: return std::make_unique<nn::AvgPool2d>(2);
+      default: return std::make_unique<nn::GlobalAvgPool>();
+    }
+  };
+  Rng data(37);
+  const Tensor x = Tensor::normal(Shape{2, 3, 4, 4}, data);
+  const Tensor other = Tensor::normal(Shape{5, 3, 4, 4}, data);
+  for (int which = 0; which < 6; ++which) {
+    Rng rng_a(41);
+    Rng rng_b(41);
+    Rng rng_c(41);
+    nn::LayerPtr a = make(which, rng_a);  // forward, backward
+    nn::LayerPtr b = make(which, rng_b);  // forward, infer, backward
+    nn::LayerPtr c = make(which, rng_c);  // eval-mode forward
+    const Tensor y = a->forward(x, true);
+    (void)b->forward(x, true);
+    const Tensor g = Tensor::normal(y.shape(), data);
+    const Tensor inferred = b->infer(other);
+    const Tensor eval = c->forward(other, false);
+    ASSERT_EQ(inferred.shape(), eval.shape()) << a->name();
+    EXPECT_EQ(std::memcmp(inferred.data().data(), eval.data().data(),
+                          eval.data().size_bytes()),
+              0)
+        << a->name();
+    const Tensor want = a->backward(g);
+    const Tensor got = b->backward(g);
+    ASSERT_EQ(got.shape(), want.shape()) << a->name();
+    EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                          want.data().size_bytes()),
+              0)
+        << a->name();
+  }
+}
+
 TEST(Sequential, ChainsLayersAndShapes) {
   Rng rng(14);
   nn::Sequential seq;

@@ -301,7 +301,8 @@ TEST(PlanInfer, InferMatchesEvalForwardBitwise) {
 
 TEST(PlanInfer, ResidualInferMatchesForwardBitwise) {
   // Both residual variants: identity skip and 1x1 projection skip. The
-  // fused join must reproduce ops::add + in-place ReLU exactly.
+  // fused join must reproduce ops::add + in-place ReLU exactly, and so must
+  // the planner-off infer (each inner layer's own infer).
   PlannerGuard guard;
   Rng rng(47);
   ResidualBlock plain(4, 4, 1, rng);
@@ -318,6 +319,8 @@ TEST(PlanInfer, ResidualInferMatchesForwardBitwise) {
     set_planner_enabled(false);
     const Tensor ref_plain = plain.forward(x, false);
     const Tensor ref_proj = proj.forward(x, false);
+    const Tensor unfused_plain = plain.infer(x);
+    const Tensor unfused_proj = proj.infer(x);
     set_planner_enabled(true);
     const Tensor fused_plain = plain.infer(x);
     const Tensor fused_proj = proj.infer(x);
@@ -325,6 +328,10 @@ TEST(PlanInfer, ResidualInferMatchesForwardBitwise) {
         << "identity skip, threads=" << threads;
     EXPECT_TRUE(bitwise_equal(fused_proj.data(), ref_proj.data()))
         << "projection skip, threads=" << threads;
+    EXPECT_TRUE(bitwise_equal(unfused_plain.data(), ref_plain.data()))
+        << "planner off, identity skip, threads=" << threads;
+    EXPECT_TRUE(bitwise_equal(unfused_proj.data(), ref_proj.data()))
+        << "planner off, projection skip, threads=" << threads;
   }
 }
 
