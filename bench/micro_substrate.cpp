@@ -2,8 +2,9 @@
 // im2col, tensor codec, simulated network send/receive.
 //
 // Every benchmark pins the global thread pool explicitly (kernel families
-// to 1 thread, layer families to a fixed 4) so the recorded numbers measure
-// the code, not the machine's core count. scripts/bench_substrate.py runs
+// and the vgg-mini conv cases to 1 thread, the other layer families to a
+// fixed 4) so the recorded numbers measure the code, not the machine's core
+// count. scripts/bench_substrate.py runs
 // this binary with --benchmark_format=json and distills the trajectory into
 // BENCH_substrate.json (see docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
@@ -157,36 +158,71 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col);
 
+// Conv layers. Args: {in_channels, out_channels, spatial, batch, threads}
+// (+ {input_grad} for backward). Besides the original 4-thread cases, each
+// vgg-mini conv shape (3->16 at 16x16, 16->32 at 8x8, 32->64 at 4x4) runs
+// single-threaded at fig4_vgg's per-platform batches 4/8/14, so the number
+// is the layer's own cost. The platform's L1 (3->16) also runs the
+// parameter-only backward (input_grad = 0) the protocol uses there.
+void vgg_mini_conv_args(benchmark::internal::Benchmark* b, bool backward) {
+  const std::int64_t shapes[][3] = {{3, 16, 16}, {16, 32, 8}, {32, 64, 4}};
+  for (const auto& s : shapes) {
+    for (const std::int64_t batch : {4, 8, 14}) {
+      if (!backward) {
+        b->Args({s[0], s[1], s[2], batch, 1});
+        continue;
+      }
+      b->Args({s[0], s[1], s[2], batch, 1, 1});
+      if (s[0] == 3) b->Args({s[0], s[1], s[2], batch, 1, 0});
+    }
+  }
+}
+
 void BM_ConvForward(benchmark::State& state) {
-  set_global_threads(kLayerThreads);
-  const std::int64_t batch = state.range(0);
+  set_global_threads(static_cast<int>(state.range(4)));
+  const std::int64_t in = state.range(0), out = state.range(1);
+  const std::int64_t hw = state.range(2), batch = state.range(3);
   Rng rng(3);
-  nn::Conv2d conv(3, 16, 3, 1, 1, rng);
-  const Tensor x = Tensor::normal(Shape{batch, 3, 16, 16}, rng);
+  nn::Conv2d conv(in, out, 3, 1, 1, rng);
+  const Tensor x = Tensor::normal(Shape{batch, in, hw, hw}, rng);
   for (auto _ : state) {
     Tensor y = conv.forward(x, true);
     benchmark::DoNotOptimize(y.data().data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_ConvForward)->Arg(1)->Arg(16);
+BENCHMARK(BM_ConvForward)
+    ->Args({3, 16, 16, 1, kLayerThreads})
+    ->Args({3, 16, 16, 16, kLayerThreads})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      vgg_mini_conv_args(b, false);
+    });
 
 void BM_ConvBackward(benchmark::State& state) {
-  set_global_threads(kLayerThreads);
-  const std::int64_t batch = state.range(0);
+  set_global_threads(static_cast<int>(state.range(4)));
+  const std::int64_t in = state.range(0), out = state.range(1);
+  const std::int64_t hw = state.range(2), batch = state.range(3);
+  const bool input_grad = state.range(5) != 0;
   Rng rng(4);
-  nn::Conv2d conv(3, 16, 3, 1, 1, rng);
-  const Tensor x = Tensor::normal(Shape{batch, 3, 16, 16}, rng);
+  nn::Conv2d conv(in, out, 3, 1, 1, rng);
+  const Tensor x = Tensor::normal(Shape{batch, in, hw, hw}, rng);
   const Tensor y = conv.forward(x, true);
   const Tensor g = Tensor::normal(y.shape(), rng);
   for (auto _ : state) {
     conv.zero_grad();
-    Tensor gi = conv.backward(g);
+    Tensor gi = conv.backward_from(g.data(), g.shape(), input_grad);
     benchmark::DoNotOptimize(gi.data().data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_ConvBackward)->Arg(1)->Arg(4)->Arg(16)->Arg(32);
+BENCHMARK(BM_ConvBackward)
+    ->Args({3, 16, 16, 1, kLayerThreads, 1})
+    ->Args({3, 16, 16, 4, kLayerThreads, 1})
+    ->Args({3, 16, 16, 16, kLayerThreads, 1})
+    ->Args({3, 16, 16, 32, kLayerThreads, 1})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      vgg_mini_conv_args(b, true);
+    });
 
 void BM_LinearForward(benchmark::State& state) {
   set_global_threads(kLayerThreads);
