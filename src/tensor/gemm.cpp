@@ -192,7 +192,7 @@ void pack_a(AKind kind, std::int64_t m, std::int64_t k, const float* a,
   }
 }
 
-/// The shared driver behind gemm_nn/tn/nt and gemm_lhs. Preconditions:
+/// The one packed loop behind gemm_nn/tn/nt and gemm_lhs. Preconditions:
 /// m, n, k >= 1 and spans validated. With `pre` (from pack_lhs, for these
 /// m/n/k), A is read from that pack and `a` is unused; otherwise each chunk
 /// packs its own blocks of A. C is partitioned across threads by MR-row

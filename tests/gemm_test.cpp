@@ -130,7 +130,7 @@ bool bitwise_equal(const std::vector<float>& x, const std::vector<float>& y) {
 // memcmp proves the fold was preserved.
 //
 // n also takes 4, 8 and 16: one full vector at each of the base, AVX2 and
-// AVX-512 widths, where the driver switches to the narrow 8-row tile.
+// AVX-512 widths, where gemm switches to the narrow 8-row tile.
 // gemm_lhs (A packed once by pack_lhs) must match the same references.
 TEST(GemmBitwise, PackedMatchesReferenceAcrossShapesAndThreads) {
   const std::int64_t dims[] = {1, 3, 7, 17, 33, 64, 130};
