@@ -5,7 +5,7 @@
 //
 // This TU must contain only the raw-pointer impl header (see
 // gemm_kernels_impl.hpp) — it is compiled for an ISA the host CPU may not
-// have, and is only entered through the dispatch in active_kernel().
+// have, and is only entered through the dispatch in active_kernels().
 #include "src/tensor/gemm_kernels.hpp"
 #include "src/tensor/gemm_kernels_impl.hpp"
 
