@@ -236,6 +236,39 @@ void BM_LinearForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearForward);
 
+// A wide Linear at a small batch: its forward and input-gradient GEMMs have
+// m = batch, fewer row blocks than pool threads, so only a split by column
+// panel can use the pool. Args {batch, features, threads, backward}; real
+// time, since the work runs on the pool's threads.
+void BM_LinearSmallBatch(benchmark::State& state) {
+  const std::int64_t batch = state.range(0);
+  const std::int64_t features = state.range(1);
+  set_global_threads(static_cast<int>(state.range(2)));
+  const bool backward = state.range(3) != 0;
+  Rng rng(5);
+  nn::Linear lin(features, features, rng);
+  const Tensor x = Tensor::normal(Shape{batch, features}, rng);
+  const Tensor dy = Tensor::normal(Shape{batch, features}, rng);
+  for (auto _ : state) {
+    Tensor y = lin.forward(x, backward);
+    benchmark::DoNotOptimize(y.data().data());
+    if (backward) {
+      Tensor dx = lin.backward(dy);
+      benchmark::DoNotOptimize(dx.data().data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_LinearSmallBatch)
+    ->Args({4, 2048, 1, 0})
+    ->Args({4, 2048, 4, 0})
+    ->Args({4, 2048, 1, 1})
+    ->Args({4, 2048, 4, 1})
+    ->Args({2, 4096, 4, 0})
+    ->Args({4, 4096, 4, 0})
+    ->Args({8, 4096, 4, 0})
+    ->UseRealTime();
+
 // --- Execution-planner fusion families -------------------------------------
 // Each pair runs the SAME bytes-identical computation (plan_test asserts
 // bitwise equality) through the fused epilogue path vs the legacy per-layer

@@ -83,7 +83,7 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
   // own thread's arena and runs them against the shared pack:
   // out[b] = W[out_c, crk] · col[crk, oh*ow], with the elementwise tail
   // (bias / bn / relu, per output channel = per C row) at write-back. With a
-  // single-sample batch the chunk runs inline and the GEMM splits its rows
+  // single-sample batch the chunk runs inline and the GEMM splits its tiles
   // across threads instead.
   ws::WorkspaceScope scope;
   const PackedLhs w = pack_lhs(/*transposed=*/false, out_c_, g.col_cols(),

@@ -1,23 +1,24 @@
 // Packed, register-blocked GEMM.
 //
-// Each kernel has three stages:
-//   1. Pick the micro-kernel tile from n (gemmk::kernel_for) and pack B once
-//      (calling thread) into NR-column panels, k-major with the NR columns
-//      interleaved, tail columns zero-padded.
-//   2. parallel_for over MR-row blocks of C; each chunk packs its own A
-//      blocks in its thread's workspace arena — unless A was packed in
-//      advance (pack_lhs), in which case every chunk reads that pack.
-//   3. The one tile loop: an MR×NR micro-kernel (src/tensor/gemm_kernels.hpp)
-//      computes each C tile with one register accumulator per element,
-//      write-first.
+// Each product has three stages:
+//   1. Pick the micro-kernel tile from n (gemmk::kernel_for) and pack A once
+//      into MR-row blocks (pack_lhs), k-major with the MR rows interleaved,
+//      tail rows zero-padded. gemm_nn/tn/nt pack their own A; Conv2d packs
+//      its weights once per layer call and runs every sample against them
+//      (gemm_lhs).
+//   2. Pack B once (calling thread) into NR-column panels, k-major with the
+//      NR columns interleaved, tail columns zero-padded.
+//   3. The one tile loop: parallel_for over the MR×NR tiles of C, row-block
+//      major; an MR×NR micro-kernel (src/tensor/gemm_kernels.hpp) computes
+//      each tile with one register accumulator per element, write-first.
 //
 // Determinism: every C element is the strict left fold
 //   c = a[i,0]*b[0,j]; c += a[i,1]*b[1,j]; ... (k ascending)
-// exactly as in the *_ref kernels — packing is pure data movement, row
-// partitioning never splits a row, and the micro-kernel keeps one
-// accumulator per element. Results are bitwise identical for any thread
-// count and any dispatched ISA variant; gemm_test asserts this against the
-// reference.
+// exactly as in the *_ref kernels — packing is pure data movement, each
+// element is written by exactly one micro-kernel call whatever the tile
+// partition, and the micro-kernel keeps one accumulator per element.
+// Results are bitwise identical for any thread count and any dispatched ISA
+// variant; gemm_test asserts this against the reference.
 #include "src/tensor/gemm.hpp"
 
 #include <algorithm>
@@ -65,7 +66,7 @@ class GemmTimer {
 };
 
 // Matrices below this many multiply-adds are not worth a fork-join; also
-// sets the minimum per-chunk work when partitioning rows across threads.
+// sets the minimum per-chunk work when partitioning tiles across threads.
 constexpr std::int64_t kParallelFlops = 32 * 1024;
 
 /// Multiplies non-negative int64 dims, throwing instead of overflowing.
@@ -86,11 +87,11 @@ void check_sizes(std::int64_t m, std::int64_t n, std::int64_t k,
                  "gemm: span smaller than m/n/k imply");
 }
 
-/// Minimum MR-row blocks per parallel chunk so each chunk does
-/// >= kParallelFlops multiply-adds (blocks below that run serially inline).
-std::int64_t block_grain(std::int64_t n, std::int64_t k, std::int64_t mr) {
-  const std::int64_t per_block = std::max<std::int64_t>(n * k * mr, 1);
-  return std::max<std::int64_t>(1, kParallelFlops / per_block);
+/// Minimum tiles per parallel chunk so each chunk does >= kParallelFlops
+/// multiply-adds (tiles below that run serially inline).
+std::int64_t tile_grain(std::int64_t k, std::int64_t mr, std::int64_t nr) {
+  const std::int64_t per_tile = std::max<std::int64_t>(mr * nr * k, 1);
+  return std::max<std::int64_t>(1, kParallelFlops / per_tile);
 }
 
 /// Handles the degenerate shapes every kernel shares: nothing to write when
@@ -127,10 +128,8 @@ void apply_epilogue_full(std::int64_t m, std::int64_t n, float* c,
   }
 }
 
-// A's element (i, kk) lives at a[i*k + kk] (kNormal, A is [m,k]) or at
-// a[kk*m + i] (kTransposed, A is [k,m]). Likewise B's (kk, j) is
-// b[kk*n + j] (kNormal, B is [k,n]) or b[j*k + kk] (kTransposed, B [n,k]).
-enum class AKind { kNormal, kTransposed };
+// B's element (kk, j) lives at b[kk*n + j] (kNormal, B is [k,n]) or at
+// b[j*k + kk] (kTransposed, B is [n,k]).
 enum class BKind { kNormal, kTransposed };
 
 /// Packs all of B into ceil(n/NR) panels; panel jp holds columns
@@ -162,84 +161,53 @@ void pack_b(BKind kind, std::int64_t n, std::int64_t k, const float* b,
   }
 }
 
-/// Packs A rows [r0, r1) into ceil((r1-r0)/MR) blocks; block ib holds rows
-/// [r0+ib*MR, +MR) as k-major groups of MR interleaved floats, tail rows
-/// zero-padded.
-void pack_a(AKind kind, std::int64_t m, std::int64_t k, const float* a,
-            std::int64_t r0, std::int64_t r1, std::int64_t mr_max,
-            float* ap) {
-  const std::int64_t blocks = (r1 - r0 + mr_max - 1) / mr_max;
-  for (std::int64_t ib = 0; ib < blocks; ++ib) {
-    const std::int64_t i0 = r0 + ib * mr_max;
-    const std::int64_t mr = std::min(mr_max, r1 - i0);
-    float* dst = ap + ib * k * mr_max;
-    if (kind == AKind::kNormal) {
-      for (std::int64_t r = 0; r < mr; ++r) {
-        const float* src = a + (i0 + r) * k;
-        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * mr_max + r] = src[kk];
-      }
-      for (std::int64_t r = mr; r < mr_max; ++r) {
-        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * mr_max + r] = 0.0F;
-      }
-    } else {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float* src = a + kk * m + i0;
-        float* d = dst + kk * mr_max;
-        for (std::int64_t r = 0; r < mr; ++r) d[r] = src[r];
-        for (std::int64_t r = mr; r < mr_max; ++r) d[r] = 0.0F;
-      }
+/// The one tile loop behind gemm_nn/tn/nt and gemm_lhs; `ep` (nullable) is
+/// applied at write-back. C's tiles are numbered row-block major and split
+/// across threads in contiguous runs, so a run keeps its A block (k*MR
+/// floats) hot in L1 while the B panels stream by, and a small m still
+/// splits: its tiles differ by panel. Each C element belongs to one tile,
+/// so any partition is bitwise identical to serial execution.
+void gemm_packed(const PackedLhs& a, BKind bk, std::span<const float> b,
+                 std::span<float> c, const gemmk::Epilogue* ep) {
+  const std::int64_t m = a.m, n = a.n, k = a.k;
+  check_sizes(m, n, k, static_cast<std::size_t>(m * k), b.size(), c.size());
+  if (handle_empty(m, n, k, c.data())) {
+    if (ep != nullptr && m > 0 && n > 0) {
+      apply_epilogue_full(m, n, c.data(), *ep);
     }
+    return;
   }
-}
-
-/// The one packed loop behind gemm_nn/tn/nt and gemm_lhs. Preconditions:
-/// m, n, k >= 1 and spans validated. With `pre` (from pack_lhs, for these
-/// m/n/k), A is read from that pack and `a` is unused; otherwise each chunk
-/// packs its own blocks of A. C is partitioned across threads by MR-row
-/// blocks; chunks never split a row, so any partition is bitwise identical
-/// to serial execution.
-void gemm_packed(AKind ak, BKind bk, std::int64_t m, std::int64_t n,
-                 std::int64_t k, const float* a, const float* b, float* c,
-                 const gemmk::Epilogue* ep = nullptr,
-                 const PackedLhs* pre = nullptr) {
-  const gemmk::MicroKernel& mk =
-      pre != nullptr ? *pre->kernel : gemmk::kernel_for(n);
+  const gemmk::MicroKernel& mk = *a.kernel;
   const std::int64_t mr_max = mk.block_rows;
   const std::int64_t nr_max = mk.panel_cols;
   const std::int64_t panels = (n + nr_max - 1) / nr_max;
-  const std::int64_t blocks = (m + mr_max - 1) / mr_max;
+  const std::int64_t tiles = (m + mr_max - 1) / mr_max * panels;
   // B is packed once by the calling thread and read by every worker; the
   // pool's fork ordering publishes it before any chunk runs.
   ws::WorkspaceScope bscope;
   float* bp = bscope.floats(checked_mul(panels * nr_max, k)).data();
-  pack_b(bk, n, k, b, nr_max, bp);
-  parallel_for(0, blocks, block_grain(n, k, mr_max),
-               [&](std::int64_t ib0, std::int64_t ib1) {
-    const std::int64_t r0 = ib0 * mr_max;
-    const std::int64_t r1 = std::min(m, ib1 * mr_max);
-    ws::WorkspaceScope ascope;
-    const float* ap = nullptr;
-    if (pre != nullptr) {
-      ap = pre->blocks + ib0 * k * mr_max;
-    } else {
-      // Each chunk packs its blocks of A into its own thread's arena.
-      float* own = ascope.floats(checked_mul((ib1 - ib0) * mr_max, k)).data();
-      pack_a(ak, m, k, a, r0, r1, mr_max, own);
-      ap = own;
-    }
-    // A block (k*MR floats) stays hot in L1 while the B panels stream by.
-    for (std::int64_t ib = ib0; ib < ib1; ++ib) {
-      const std::int64_t i0 = ib * mr_max;
-      const std::int64_t mr = std::min(mr_max, m - i0);
-      const float* ablock = ap + (ib - ib0) * k * mr_max;
-      for (std::int64_t jp = 0; jp < panels; ++jp) {
-        const std::int64_t j0 = jp * nr_max;
-        const std::int64_t nr = std::min(nr_max, n - j0);
-        mk.fn(k, ablock, bp + jp * k * nr_max, c + i0 * n + j0, n, mr, nr, ep,
-              i0, j0);
-      }
+  pack_b(bk, n, k, b.data(), nr_max, bp);
+  float* cp = c.data();
+  parallel_for(0, tiles, tile_grain(k, mr_max, nr_max),
+               [&](std::int64_t t0, std::int64_t t1) {
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t i0 = t / panels * mr_max;
+      const std::int64_t j0 = t % panels * nr_max;
+      mk.fn(k, a.blocks + i0 * k, bp + j0 * k, cp + i0 * n + j0, n,
+            std::min(mr_max, m - i0), std::min(nr_max, n - j0), ep, i0, j0);
     }
   });
+}
+
+/// gemm_nn/tn/nt(_ep): A is packed into this call's own scope, then the
+/// tile loop runs.
+void gemm_self_packed(bool a_transposed, BKind bk, std::int64_t m,
+                      std::int64_t n, std::int64_t k, std::span<const float> a,
+                      std::span<const float> b, std::span<float> c,
+                      const gemmk::Epilogue* ep) {
+  const GemmTimer timer;
+  ws::WorkspaceScope scope;
+  gemm_packed(pack_lhs(a_transposed, m, n, k, a, scope), bk, b, c, ep);
 }
 
 /// Picks the widest micro-kernel variant this CPU supports;
@@ -288,12 +256,34 @@ PackedLhs pack_lhs(bool transposed, std::int64_t m, std::int64_t n,
   out.n = n;
   out.k = k;
   out.kernel = &gemmk::kernel_for(n);
-  const std::int64_t mr = out.kernel->block_rows;
-  const std::int64_t blocks = (m + mr - 1) / mr;
-  float* dst = scope.floats(checked_mul(blocks * mr, k)).data();
-  pack_a(transposed ? AKind::kTransposed : AKind::kNormal, m, k, a.data(), 0,
-         m, mr, dst);
-  out.blocks = dst;
+  // A's element (i, kk) is a[i*k + kk] ([m,k]) or a[kk*m + i] ([k,m] read
+  // transposed). Block ib holds rows [ib*MR, +MR) as k-major groups of MR
+  // interleaved floats, tail rows zero-padded.
+  const std::int64_t mr_max = out.kernel->block_rows;
+  const std::int64_t blocks = (m + mr_max - 1) / mr_max;
+  float* ap = scope.floats(checked_mul(blocks * mr_max, k)).data();
+  for (std::int64_t ib = 0; ib < blocks; ++ib) {
+    const std::int64_t i0 = ib * mr_max;
+    const std::int64_t mr = std::min(mr_max, m - i0);
+    float* dst = ap + ib * k * mr_max;
+    if (!transposed) {
+      for (std::int64_t r = 0; r < mr; ++r) {
+        const float* src = a.data() + (i0 + r) * k;
+        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * mr_max + r] = src[kk];
+      }
+      for (std::int64_t r = mr; r < mr_max; ++r) {
+        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * mr_max + r] = 0.0F;
+      }
+    } else {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float* src = a.data() + kk * m + i0;
+        float* d = dst + kk * mr_max;
+        for (std::int64_t r = 0; r < mr; ++r) d[r] = src[r];
+        for (std::int64_t r = mr; r < mr_max; ++r) d[r] = 0.0F;
+      }
+    }
+  }
+  out.blocks = ap;
   return out;
 }
 
@@ -301,59 +291,31 @@ void gemm_lhs(const PackedLhs& a, std::span<const float> b, std::span<float> c,
               const gemmk::Epilogue* ep) {
   const GemmTimer timer;
   SPLITMED_CHECK(a.kernel != nullptr, "gemm_lhs: operand was never packed");
-  check_sizes(a.m, a.n, a.k, static_cast<std::size_t>(a.m * a.k), b.size(),
-              c.size());
-  if (handle_empty(a.m, a.n, a.k, c.data())) {
-    if (ep != nullptr && a.m > 0 && a.n > 0) {
-      apply_epilogue_full(a.m, a.n, c.data(), *ep);
-    }
-    return;
-  }
-  gemm_packed(AKind::kNormal, BKind::kNormal, a.m, a.n, a.k, nullptr,
-              b.data(), c.data(), ep, &a);
+  gemm_packed(a, BKind::kNormal, b, c, ep);
 }
 
 void gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c) {
-  const GemmTimer timer;
-  check_sizes(m, n, k, a.size(), b.size(), c.size());
-  if (handle_empty(m, n, k, c.data())) return;
-  gemm_packed(AKind::kNormal, BKind::kNormal, m, n, k, a.data(), b.data(),
-              c.data());
+  gemm_self_packed(false, BKind::kNormal, m, n, k, a, b, c, nullptr);
 }
 
 void gemm_tn(std::int64_t m, std::int64_t n, std::int64_t k,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c) {
-  const GemmTimer timer;
-  check_sizes(m, n, k, a.size(), b.size(), c.size());
-  if (handle_empty(m, n, k, c.data())) return;
-  gemm_packed(AKind::kTransposed, BKind::kNormal, m, n, k, a.data(), b.data(),
-              c.data());
+  gemm_self_packed(true, BKind::kNormal, m, n, k, a, b, c, nullptr);
 }
 
 void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c) {
-  const GemmTimer timer;
-  check_sizes(m, n, k, a.size(), b.size(), c.size());
-  if (handle_empty(m, n, k, c.data())) return;
-  gemm_packed(AKind::kNormal, BKind::kTransposed, m, n, k, a.data(), b.data(),
-              c.data());
+  gemm_self_packed(false, BKind::kTransposed, m, n, k, a, b, c, nullptr);
 }
 
 void gemm_nt_ep(std::int64_t m, std::int64_t n, std::int64_t k,
                 std::span<const float> a, std::span<const float> b,
                 std::span<float> c, const gemmk::Epilogue& ep) {
-  const GemmTimer timer;
-  check_sizes(m, n, k, a.size(), b.size(), c.size());
-  if (handle_empty(m, n, k, c.data())) {
-    if (m > 0 && n > 0) apply_epilogue_full(m, n, c.data(), ep);
-    return;
-  }
-  gemm_packed(AKind::kNormal, BKind::kTransposed, m, n, k, a.data(), b.data(),
-              c.data(), &ep);
+  gemm_self_packed(false, BKind::kTransposed, m, n, k, a, b, c, &ep);
 }
 
 // ---------------------------------------------------------------------------

@@ -59,9 +59,10 @@ struct PackedLhs {
                                  ws::WorkspaceScope& scope);
 
 /// C[m,n] = A * B[k,n] with A from pack_lhs — the tile loop gemm_nn and
-/// gemm_tn run, minus their A pack; bitwise equal to them. `ep` (nullable)
-/// is a write-back epilogue, as in gemm_nt_ep. Rows are split across
-/// threads unless the call is already inside a parallel region.
+/// gemm_tn run after packing their own A; bitwise equal to them. `ep`
+/// (nullable) is a write-back epilogue, as in gemm_nt_ep. C's tiles are
+/// split across threads unless the call is already inside a parallel
+/// region.
 void gemm_lhs(const PackedLhs& a, std::span<const float> b, std::span<float> c,
               const gemmk::Epilogue* ep = nullptr);
 

@@ -5,7 +5,6 @@
 
 #include "src/common/error.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/tensor/workspace.hpp"
 
 namespace splitmed {
 namespace {
@@ -109,40 +108,6 @@ void im2col_planes(const ConvGeometry& g, const float* image, float* col) {
   });
 }
 
-void col2im_planes(const ConvGeometry& g, const float* col, float* image) {
-  const std::int64_t w = g.in_w, hw = g.in_h * g.in_w;
-  parallel_for(0, g.channels, channel_grain(g), [&](std::int64_t c0,
-                                                    std::int64_t c1) {
-    // The flat add also lands on the wrapped runs' targets; they are saved
-    // first and put back, so each image element gets exactly the (kh, kw)
-    // contributions of the row-wise loop, in the same order.
-    ws::WorkspaceScope scope;
-    float* saved = scope.floats(g.in_h * g.pad).data();
-    for (std::int64_t c = c0; c < c1; ++c) {
-      float* chan = image + c * hw;
-      const float* in = col + c * g.kernel_h * g.kernel_w * hw;
-      for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, in += hw) {
-          const PlaneShift p = plane_shift(g, kh, kw);
-          if (p.empty()) continue;
-          const std::int64_t run = w - p.x1 + p.x0;  // |kw - pad|
-          for (std::int64_t y = p.y0; y + 1 < p.y1; ++y) {
-            std::copy_n(chan + y * w + p.x1 + p.shift, run,
-                        saved + (y - p.y0) * run);
-          }
-          float* dst = chan + p.begin + p.shift;
-          const float* src = in + p.begin;
-          for (std::int64_t i = 0; i < p.end - p.begin; ++i) dst[i] += src[i];
-          for (std::int64_t y = p.y0; y + 1 < p.y1; ++y) {
-            std::copy_n(saved + (y - p.y0) * run, run,
-                        chan + y * w + p.x1 + p.shift);
-          }
-        }
-      }
-    }
-  });
-}
-
 }  // namespace
 
 void ConvGeometry::validate() const {
@@ -160,13 +125,6 @@ void im2col(const ConvGeometry& g, std::span<const float> image,
   if (!g.whole_plane()) return im2col_rows(g, image, col);
   check_spans(g, image.size(), col.size());
   im2col_planes(g, image.data(), col.data());
-}
-
-void col2im(const ConvGeometry& g, std::span<const float> col,
-            std::span<float> image) {
-  if (!g.whole_plane()) return col2im_rows(g, col, image);
-  check_spans(g, image.size(), col.size());
-  col2im_planes(g, col.data(), image.data());
 }
 
 void im2col_rows(const ConvGeometry& g, std::span<const float> image,
@@ -215,8 +173,8 @@ void im2col_rows(const ConvGeometry& g, std::span<const float> image,
   });
 }
 
-void col2im_rows(const ConvGeometry& g, std::span<const float> col,
-                 std::span<float> image) {
+void col2im(const ConvGeometry& g, std::span<const float> col,
+            std::span<float> image) {
   check_spans(g, image.size(), col.size());
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   // Channel c accumulates only into its own image plane, from its own col

@@ -34,7 +34,7 @@ struct ConvGeometry {
   [[nodiscard]] std::int64_t col_cols() const { return out_h() * out_w(); }
   /// Stride 1 with the output the size of the input (every 3x3/pad-1 and
   /// 1x1/pad-0 conv): each column row is its input plane shifted by
-  /// (kh - pad, kw - pad), so im2col/col2im move it as one block.
+  /// (kh - pad, kw - pad), so im2col copies it as one block.
   [[nodiscard]] bool whole_plane() const {
     return stride == 1 && out_h() == in_h && out_w() == in_w;
   }
@@ -51,18 +51,16 @@ void im2col(const ConvGeometry& g, std::span<const float> image,
             std::span<float> col);
 
 /// Inverse scatter-add: accumulates col back into image (image must be
-/// zeroed by the caller when a fresh gradient is wanted). Each image element
-/// receives its (kh, kw) contributions in ascending order on either path,
-/// so whole-plane and row-wise results are bitwise equal.
+/// zeroed by the caller when a fresh gradient is wanted), row by row for
+/// every geometry; each image element receives its (kh, kw) contributions
+/// in ascending order.
 void col2im(const ConvGeometry& g, std::span<const float> col,
             std::span<float> image);
 
-/// The row-wise lowering, valid for every geometry: the path im2col/col2im
-/// take when !g.whole_plane(), and the reference the whole-plane path is
-/// tested against.
+/// The row-wise lowering, valid for every geometry: the path im2col takes
+/// when !g.whole_plane(), and the reference the whole-plane path is tested
+/// against.
 void im2col_rows(const ConvGeometry& g, std::span<const float> image,
                  std::span<float> col);
-void col2im_rows(const ConvGeometry& g, std::span<const float> col,
-                 std::span<float> image);
 
 }  // namespace splitmed
