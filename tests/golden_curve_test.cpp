@@ -666,6 +666,7 @@ TEST(GoldenPaths, BoundedStalenessRunMatchesFingerprint) {
 struct ConvGolden {
   std::vector<std::uint64_t> bytes;
   std::vector<double> loss;  ///< exact train loss per curve point
+  std::vector<double> accuracy;  ///< exact test accuracy per curve point
   std::vector<double> sim_seconds;
   /// FNV-1a over the bytes of every final platform L1 parameter (platform
   /// order), then every server parameter.
@@ -708,6 +709,7 @@ ConvGolden conv_run(const std::string& model, WireCodec codec, int threads) {
   for (const auto& p : report.curve) {
     out.bytes.push_back(p.cumulative_bytes);
     out.loss.push_back(p.train_loss);
+    out.accuracy.push_back(p.test_accuracy);
     out.sim_seconds.push_back(p.sim_seconds);
   }
   out.params = parameter_fingerprint(trainer);
@@ -719,6 +721,7 @@ void expect_conv_golden(const ConvGolden& got, const ConvGolden& want,
                         const std::string& tag) {
   EXPECT_EQ(got.bytes, want.bytes) << tag;
   EXPECT_EQ(got.loss, want.loss) << tag;
+  EXPECT_EQ(got.accuracy, want.accuracy) << tag;
   EXPECT_EQ(got.sim_seconds, want.sim_seconds) << tag;
   EXPECT_EQ(got.params, want.params) << tag;
   if (::testing::Test::HasFailure()) {
@@ -730,6 +733,10 @@ void expect_conv_golden(const ConvGolden& got, const ConvGolden& want,
     os << "},\n {";
     for (std::size_t i = 0; i < got.loss.size(); ++i) {
       os << (i ? ", " : "") << got.loss[i];
+    }
+    os << "},\n {";
+    for (std::size_t i = 0; i < got.accuracy.size(); ++i) {
+      os << (i ? ", " : "") << got.accuracy[i];
     }
     os << "},\n {";
     for (std::size_t i = 0; i < got.sim_seconds.size(); ++i) {
@@ -744,6 +751,7 @@ const ConvGolden kGoldenVggMini = {
     {1052032, 2104064, 3156096, 4208128, 5260160, 6312192},
     {10.40799617767334, 2.4880062937736511, 2.3217581510543823,
      2.3036471605300903, 2.3262982964515686, 2.2909799814224243},
+    {0.1875, 0.1171875, 0.0859375, 0.15625, 0.09375, 0.09375},
     {0.20664354133333326, 0.41328708266666675, 0.61993062400000021,
      0.82657416533333361, 1.033217706666667, 1.2398612480000004},
     1375199715319974949ULL};
@@ -751,24 +759,33 @@ const ConvGolden kGoldenResnetMiniI8 = {
     {265632, 531264, 796896, 1062528, 1328160, 1593792},
     {2.7069663405418396, 2.5777868628501892, 2.430675745010376,
      2.1780709624290466, 2.4728310108184814, 1.8595578372478485},
+    {0.125, 0.09375, 0.1015625, 0.1875, 0.1796875, 0.15625},
     {0.19569957333333329, 0.39139914666666686, 0.5870987200000003,
      0.78279829333333384, 0.97849786666666738, 1.1741974400000006},
     6983722738972508030ULL};
 
-TEST(GoldenConv, VggMiniF32MatchesFingerprint) {
-  for (const int threads : {1, 3}) {
-    expect_conv_golden(conv_run("vgg-mini", WireCodec::kF32, threads),
-                       kGoldenVggMini,
-                       "vgg-mini f32 threads=" + std::to_string(threads));
+/// Runs `model` at threads {1, 3} with the planner on and off against the
+/// same pins: the eval path (Sequential::infer, the BN-fused groups and
+/// ResidualBlock::infer) is pinned through test_accuracy both ways.
+void expect_conv_model(const std::string& model, WireCodec codec,
+                       const ConvGolden& golden) {
+  for (const bool planner : {true, false}) {
+    nn::set_planner_enabled(planner);
+    for (const int threads : {1, 3}) {
+      expect_conv_golden(conv_run(model, codec, threads), golden,
+                         model + " threads=" + std::to_string(threads) +
+                             (planner ? " planner on" : " planner off"));
+    }
   }
+  nn::set_planner_enabled(true);
+}
+
+TEST(GoldenConv, VggMiniF32MatchesFingerprint) {
+  expect_conv_model("vgg-mini", WireCodec::kF32, kGoldenVggMini);
 }
 
 TEST(GoldenConv, ResnetMiniI8MatchesFingerprint) {
-  for (const int threads : {1, 3}) {
-    expect_conv_golden(conv_run("resnet-mini", WireCodec::kI8, threads),
-                       kGoldenResnetMiniI8,
-                       "resnet-mini i8 threads=" + std::to_string(threads));
-  }
+  expect_conv_model("resnet-mini", WireCodec::kI8, kGoldenResnetMiniI8);
 }
 
 }  // namespace

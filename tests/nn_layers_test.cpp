@@ -486,5 +486,51 @@ TEST(ResidualBlock, ForwardRunsAndIsNonNegative) {
   for (const float v : y.data()) EXPECT_GE(v, 0.0F);  // final ReLU
 }
 
+TEST(ResidualBlock, ExtraStateBytesArePinned) {
+  // A checkpoint holds the block's BatchNorm running statistics in a fixed
+  // order: bn1, bn2, a u8 projection flag, then the projection BN. Pins the
+  // bytes after three training forwards, and that loading them into a
+  // fresh block reproduces the source block's inference bitwise.
+  struct Case {
+    std::int64_t in;
+    std::int64_t out;
+    std::int64_t stride;
+    std::uint64_t hash;  ///< FNV-1a over the save_extra_state bytes
+  };
+  for (const Case& c : {Case{4, 4, 1, 241168011302399221ULL},
+                        Case{4, 8, 2, 5197251558240403189ULL}}) {
+    const std::string tag = "ResidualBlock(" + std::to_string(c.in) + "->" +
+                            std::to_string(c.out) + ")";
+    Rng rng(23);
+    nn::ResidualBlock block(c.in, c.out, c.stride, rng);
+    Rng xr(29);
+    for (int i = 0; i < 3; ++i) {
+      (void)block.forward(Tensor::normal(Shape{2, c.in, 6, 6}, xr), true);
+    }
+    BufferWriter writer;
+    block.save_extra_state(writer);
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (const std::uint8_t b : writer.bytes()) {
+      hash ^= b;
+      hash *= 1099511628211ULL;
+    }
+    EXPECT_EQ(hash, c.hash) << tag << ", " << writer.size() << " bytes";
+
+    Rng fresh_rng(23);
+    nn::ResidualBlock fresh(c.in, c.out, c.stride, fresh_rng);
+    BufferReader reader(writer.bytes());
+    fresh.load_extra_state(reader);
+    EXPECT_TRUE(reader.exhausted()) << tag;
+    const Tensor x = Tensor::normal(Shape{2, c.in, 6, 6}, xr);
+    const Tensor want = block.infer(x);
+    const Tensor got = fresh.infer(x);
+    ASSERT_EQ(got.shape(), want.shape()) << tag;
+    EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                          want.byte_size()),
+              0)
+        << tag;
+  }
+}
+
 }  // namespace
 }  // namespace splitmed
