@@ -116,59 +116,40 @@ gemmk::Epilogue make_linear_epilogue(const Linear& linear, bool relu) {
 
 ExecutionPlan ExecutionPlan::build(std::span<const LayerPtr> layers) {
   ExecutionPlan plan;
+  const auto relu_at = [&](std::size_t j) {
+    return j < layers.size() &&
+           dynamic_cast<ReLU*>(layers[j].get()) != nullptr;
+  };
   std::size_t i = 0;
   while (i < layers.size()) {
     FusedGroup g;
     g.begin = i;
+    g.end = i + 1;  // a passthrough unless a chain is recognized below
     if (auto* conv = dynamic_cast<Conv2d*>(layers[i].get())) {
-      g.conv = conv;
       auto* bn = (i + 1 < layers.size())
                      ? dynamic_cast<BatchNorm2d*>(layers[i + 1].get())
                      : nullptr;
       if (bn != nullptr && bn->channels() == conv->out_channels()) {
+        g.conv = conv;
         g.bn = bn;
-        const bool relu =
-            i + 2 < layers.size() &&
-            dynamic_cast<ReLU*>(layers[i + 2].get()) != nullptr;
+        const bool relu = relu_at(i + 2);
         g.kind = relu ? FuseKind::kConvBnRelu : FuseKind::kConvBn;
         g.end = i + (relu ? 3 : 2);
-      } else if (i + 1 < layers.size() &&
-                 dynamic_cast<ReLU*>(layers[i + 1].get()) != nullptr) {
+      } else if (relu_at(i + 1)) {
+        g.conv = conv;
         g.kind = FuseKind::kConvRelu;
         g.end = i + 2;
-      } else {
-        g.kind = FuseKind::kPassthrough;
-        g.conv = nullptr;
-        g.layer = layers[i].get();
-        g.end = i + 1;
       }
-    } else if (auto* linear = dynamic_cast<Linear*>(layers[i].get())) {
-      if (i + 1 < layers.size() &&
-          dynamic_cast<ReLU*>(layers[i + 1].get()) != nullptr) {
-        g.kind = FuseKind::kLinearRelu;
-        g.linear = linear;
-        g.end = i + 2;
-      } else {
-        g.kind = FuseKind::kPassthrough;
-        g.layer = layers[i].get();
-        g.end = i + 1;
-      }
-    } else {
-      g.kind = FuseKind::kPassthrough;
-      g.layer = layers[i].get();
-      g.end = i + 1;
+    } else if (auto* linear = dynamic_cast<Linear*>(layers[i].get());
+               linear != nullptr && relu_at(i + 1)) {
+      g.linear = linear;
+      g.kind = FuseKind::kLinearRelu;
+      g.end = i + 2;
     }
     i = g.end;
     plan.groups_.push_back(std::move(g));
   }
   return plan;
-}
-
-bool ExecutionPlan::has_fusion() const {
-  for (const FusedGroup& g : groups_) {
-    if (g.kind != FuseKind::kPassthrough) return true;
-  }
-  return false;
 }
 
 }  // namespace splitmed::nn

@@ -27,10 +27,11 @@
 //  peak memory stops scaling with depth. Measured via
 //  ws::global_step_peak_bytes() / `splitmed_workspace_step_peak_bytes`.
 //
-// The planner is ON by default; SPLITMED_PLAN=0 or
-// set_planner_enabled(false) disables it, falling every path back to the
-// legacy per-layer loops. Fused and unfused execution are BITWISE IDENTICAL
-// (asserted by plan_test and the pinned golden curves).
+// The plan is the only way a Sequential runs: forward, backward and infer
+// each walk its groups. The planner is ON by default; SPLITMED_PLAN=0 or
+// set_planner_enabled(false) runs every group unfused, its layers one by
+// one. Fused and unfused execution are BITWISE IDENTICAL (asserted by
+// plan_test and the pinned golden curves).
 #pragma once
 
 #include <cstdint>
@@ -64,8 +65,8 @@ enum class FuseKind : std::uint8_t {
 
 /// One plan node: layers [begin, end) of the Sequential, plus typed views
 /// of the members the fused paths need. `ran_fused`/`fused_out` are
-/// per-forward state written by Sequential::forward so backward mirrors
-/// exactly what forward did.
+/// per-forward state written by Sequential::forward so backward walks the
+/// groups exactly as forward ran them.
 struct FusedGroup {
   FuseKind kind = FuseKind::kPassthrough;
   std::size_t begin = 0;
@@ -73,7 +74,6 @@ struct FusedGroup {
   Conv2d* conv = nullptr;
   Linear* linear = nullptr;
   BatchNorm2d* bn = nullptr;
-  Layer* layer = nullptr;  ///< the passthrough layer (kind == kPassthrough)
   // Per-forward state (training path only):
   bool ran_fused = false;
   Tensor fused_out;  ///< group output, cached for the dReLU backward mask
@@ -135,10 +135,6 @@ class ExecutionPlan {
     return groups_;
   }
   [[nodiscard]] std::vector<FusedGroup>& groups() { return groups_; }
-
-  /// True when any group actually fuses (the planned paths short-circuit to
-  /// the legacy loops otherwise).
-  [[nodiscard]] bool has_fusion() const;
 
  private:
   std::vector<FusedGroup> groups_;

@@ -1,6 +1,7 @@
 #include "src/nn/sequential.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -13,15 +14,20 @@
 namespace splitmed::nn {
 namespace {
 
-/// Trace label for one plan group, e.g. "Conv2d(3->16, k3 s1 p1)+ReLU".
-std::string group_label(const FusedGroup& g,
-                        const std::vector<LayerPtr>& layers) {
-  std::string label;
+/// Opens the --trace-detail=2 span of one plan group (where the compute
+/// time goes), labelled e.g. "nn.Conv2d(3->16, k3 s1 p1)+ReLU". Called only
+/// when traced, so an untraced step builds no label and no span.
+void open_group_span(std::optional<obs::Span>& span, const FusedGroup& g,
+                     const std::vector<LayerPtr>& layers, const char* dir,
+                     std::size_t index) {
+  std::string label = "nn.";
   for (std::size_t i = g.begin; i < g.end; ++i) {
     if (i > g.begin) label += '+';
     label += layers[i]->name();
   }
-  return label;
+  span.emplace(obs::trace(), std::move(label), "nn");
+  span->arg("dir", dir);
+  span->arg("index", static_cast<std::uint64_t>(index));
 }
 
 }  // namespace
@@ -54,38 +60,23 @@ const ExecutionPlan& Sequential::plan() {
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
   ensure_plan();
-  if (planner_enabled() && plan_.has_fusion()) {
-    return forward_planned(input, training);
-  }
-  last_forward_planned_ = false;
+  const bool fuse = planner_enabled();
+  const bool traced = obs::detail_at_least(2);
   Tensor x = input;
-  if (obs::detail_at_least(2)) {
-    // Per-layer spans (--trace-detail=2): where the compute time goes.
-    std::uint64_t index = 0;
-    for (const auto& layer : layers_) {
-      obs::Span span(obs::trace(), "nn." + layer->name(), "nn");
-      span.arg("dir", "forward");
-      span.arg("index", index++);
-      x = layer->forward(x, training);
-    }
-    return x;
-  }
-  for (const auto& layer : layers_) x = layer->forward(x, training);
-  return x;
-}
-
-Tensor Sequential::forward_planned(const Tensor& input, bool training) {
-  last_forward_planned_ = true;
-  Tensor x = input;
-  // Runs one plan group. conv→relu and linear→relu fuse the ReLU into the
-  // GEMM write-back in BOTH modes (elementwise-after-fold, bitwise inert;
-  // the group's output is cached for the dReLU backward mask). BN-rooted
-  // groups run per-layer here: training-mode BN needs batch statistics of
-  // the conv output, and eval-mode forward() must leave BatchNorm's
-  // backward cache intact (privacy::reconstruct_inputs differentiates an
-  // eval forward) — only infer() fuses BN.
-  auto run_group = [&](FusedGroup& g) {
-    switch (g.kind) {
+  auto& groups = plan_.groups();
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    FusedGroup& g = groups[gi];
+    std::optional<obs::Span> span;
+    if (traced) open_group_span(span, g, layers_, "forward", gi);
+    // conv→relu and linear→relu fuse the ReLU into the GEMM write-back in
+    // BOTH modes (elementwise-after-fold, bitwise inert; the group's output
+    // is cached for the dReLU backward mask). BN-rooted groups run
+    // per-layer here: training-mode BN needs batch statistics of the conv
+    // output, and eval-mode forward() must leave BatchNorm's backward cache
+    // intact (privacy::reconstruct_inputs differentiates an eval forward)
+    // — only infer() fuses BN. With the planner off every group runs its
+    // layers one by one.
+    switch (fuse ? g.kind : FuseKind::kPassthrough) {
       case FuseKind::kConvRelu: {
         const gemmk::Epilogue ep =
             make_conv_epilogue(*g.conv, nullptr, {}, /*relu=*/true);
@@ -109,18 +100,7 @@ Tensor Sequential::forward_planned(const Tensor& input, bool training) {
         break;
       }
     }
-  };
-  if (obs::detail_at_least(2)) {
-    std::uint64_t index = 0;
-    for (FusedGroup& g : plan_.groups()) {
-      obs::Span span(obs::trace(), "nn." + group_label(g, layers_), "nn");
-      span.arg("dir", "forward");
-      span.arg("index", index++);
-      run_group(g);
-    }
-    return x;
   }
-  for (FusedGroup& g : plan_.groups()) run_group(g);
   return x;
 }
 
@@ -133,49 +113,26 @@ void Sequential::backward_params(const Tensor& grad_output) {
 }
 
 Tensor Sequential::backward_to(const Tensor& grad_output, bool input_grad) {
-  if (last_forward_planned_) return backward_planned(grad_output, input_grad);
+  ensure_plan();
+  const bool traced = obs::detail_at_least(2);
   // Without the input gradient, layers below the lowest parameterized one
   // have nothing to contribute, and that one skips its own input gradient.
+  // A fused group's producer is its first layer, so it is the stop layer
+  // whenever the stop falls inside that group.
   const std::size_t stop = input_grad ? 0 : first_param_layer_;
-  Tensor g = grad_output;
-  if (obs::detail_at_least(2)) {
-    for (std::size_t i = layers_.size(); i-- > stop;) {
-      obs::Span span(obs::trace(), "nn." + layers_[i]->name(), "nn");
-      span.arg("dir", "backward");
-      span.arg("index", static_cast<std::uint64_t>(i));
-      backward_layer(i, stop, input_grad, g);
-    }
-    return g;
-  }
-  for (std::size_t i = layers_.size(); i-- > stop;) {
-    backward_layer(i, stop, input_grad, g);
-  }
-  return g;
-}
-
-void Sequential::backward_layer(std::size_t i, std::size_t stop,
-                                bool input_grad, Tensor& g) {
-  if (i == stop && !input_grad) {
-    layers_[i]->backward_params(g);
-  } else {
-    g = layers_[i]->backward(g);
-  }
-}
-
-Tensor Sequential::backward_planned(const Tensor& grad_output,
-                                    bool input_grad) {
   Tensor g = grad_output;
   auto& groups = plan_.groups();
-  const std::size_t stop = input_grad ? 0 : first_param_layer_;
-  // Mirrors forward_planned exactly: groups that ran fused get the dReLU
-  // mask applied to the incoming gradient on the cached fused OUTPUT
-  // (out > 0 ⟺ pre-activation > 0, including -0.0 and NaN→0, so the
-  // masked bytes equal ReLU::backward's result), scratch-buffered in the
-  // arena, then the producing layer's backward runs on those bytes. A
-  // fused group's producer is its first layer, so it is the stop layer
-  // whenever the stop falls inside that group.
-  auto run_group = [&](FusedGroup& grp) {
+  // Groups that end at or below the stop layer have nothing left to do.
+  for (std::size_t gi = groups.size(); gi-- > 0 && groups[gi].end > stop;) {
+    FusedGroup& grp = groups[gi];
+    std::optional<obs::Span> span;
+    if (traced) open_group_span(span, grp, layers_, "backward", gi);
     if (grp.ran_fused) {
+      // Mirrors forward exactly: the dReLU mask is applied to the incoming
+      // gradient on the cached fused OUTPUT (out > 0 ⟺ pre-activation > 0,
+      // including -0.0 and NaN→0, so the masked bytes equal
+      // ReLU::backward's result), scratch-buffered in the arena, then the
+      // producing layer's backward runs on those bytes.
       check_same_shape(g.shape(), grp.fused_out.shape(),
                        "Sequential fused backward");
       ws::WorkspaceScope scope;
@@ -191,44 +148,31 @@ Tensor Sequential::backward_planned(const Tensor& grad_output,
                                         want_dx)
               : grp.linear->backward_from(masked, grp.fused_out.shape(),
                                           want_dx);
-    } else {
-      for (std::size_t i = grp.end; i-- > std::max(grp.begin, stop);) {
-        backward_layer(i, stop, input_grad, g);
+      continue;
+    }
+    for (std::size_t i = grp.end; i-- > std::max(grp.begin, stop);) {
+      if (i == stop && !input_grad) {
+        layers_[i]->backward_params(g);
+      } else {
+        g = layers_[i]->backward(g);
       }
     }
-  };
-  // Groups that end at or below the stop layer have nothing left to do.
-  const auto live = [&](std::size_t gi) { return groups[gi].end > stop; };
-  if (obs::detail_at_least(2)) {
-    for (std::size_t gi = groups.size(); gi-- > 0 && live(gi);) {
-      obs::Span span(obs::trace(),
-                     "nn." + group_label(groups[gi], layers_), "nn");
-      span.arg("dir", "backward");
-      span.arg("index", static_cast<std::uint64_t>(gi));
-      run_group(groups[gi]);
-    }
-    return g;
-  }
-  for (std::size_t gi = groups.size(); gi-- > 0 && live(gi);) {
-    run_group(groups[gi]);
   }
   return g;
 }
 
 Tensor Sequential::infer(const Tensor& input) {
   ensure_plan();
-  if (!planner_enabled() || !plan_.has_fusion()) {
-    // Unfused comparator: each layer's own cache-free infer().
-    Tensor x = input;
-    for (const auto& layer : layers_) x = layer->infer(x);
-    return x;
-  }
+  const bool fuse = planner_enabled();
   Tensor x = input;
   auto& groups = plan_.groups();
   std::size_t gi = 0;
   while (gi < groups.size()) {
-    if (groups[gi].kind == FuseKind::kPassthrough) {
-      x = groups[gi].layer->infer(x);
+    if (!fuse || groups[gi].kind == FuseKind::kPassthrough) {
+      // Each layer's own cache-free infer().
+      for (std::size_t i = groups[gi].begin; i < groups[gi].end; ++i) {
+        x = layers_[i]->infer(x);
+      }
       ++gi;
       continue;
     }

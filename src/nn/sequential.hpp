@@ -30,7 +30,7 @@ class Sequential final : public Layer {
   void backward_params(const Tensor& grad_output) override;
   /// Plan-driven inference: fused groups (including inference-mode BN)
   /// chain through lifetime-colored workspace slabs; with the planner off,
-  /// falls back to a per-layer infer() loop. Outputs are bitwise identical
+  /// every group runs its layers' infer(). Outputs are bitwise identical
   /// either way, and no layer's backward cache is touched.
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
@@ -59,28 +59,18 @@ class Sequential final : public Layer {
   /// first forward. Models call this once after construction.
   void prepare_plan();
 
-  /// The current plan (building it first if stale). Test/introspection
-  /// hook.
+  /// The current plan (building it first if stale). Its groups'
+  /// `ran_fused` records how the most recent forward() ran each group.
+  /// Test/introspection hook.
   [[nodiscard]] const ExecutionPlan& plan();
-
-  /// Whether the most recent forward() took the plan-driven path (backward
-  /// mirrors this; exposed for tests).
-  [[nodiscard]] bool last_forward_planned() const {
-    return last_forward_planned_;
-  }
 
  private:
   void ensure_plan();
-  Tensor forward_planned(const Tensor& input, bool training);
-  /// backward() (input_grad) or backward_params() (!input_grad). Without
-  /// the input gradient, layers below `first_param_layer_` are skipped and
-  /// that layer runs backward_params().
+  /// backward() (input_grad) or backward_params() (!input_grad): walks the
+  /// plan's groups top-down as the last forward ran them. Without the input
+  /// gradient, layers below `first_param_layer_` are skipped and that layer
+  /// runs backward_params().
   Tensor backward_to(const Tensor& grad_output, bool input_grad);
-  Tensor backward_planned(const Tensor& grad_output, bool input_grad);
-  /// g = layer i's backward(g); the `stop` layer of a parameter-only
-  /// backward runs backward_params(g) instead and leaves g as it was.
-  void backward_layer(std::size_t i, std::size_t stop, bool input_grad,
-                      Tensor& g);
   /// Chains fused groups [g0, g1) of the plan through lifetime-colored
   /// arena slabs (inference only — no caches survive).
   Tensor infer_fused_run(const Tensor& input, std::size_t g0, std::size_t g1);
@@ -93,7 +83,6 @@ class Sequential final : public Layer {
   /// Index of the lowest layer with parameters (size() when none), set with
   /// the plan: where backward_params() stops.
   std::size_t first_param_layer_ = 0;
-  bool last_forward_planned_ = false;
 };
 
 }  // namespace splitmed::nn

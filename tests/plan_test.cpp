@@ -87,7 +87,6 @@ TEST(PlanBuild, RecognizesConvAndLinearChains) {
   EXPECT_EQ(groups[4].kind, FuseKind::kPassthrough);
   EXPECT_EQ(groups[5].kind, FuseKind::kLinearRelu);
   EXPECT_EQ(groups[6].kind, FuseKind::kPassthrough);
-  EXPECT_TRUE(seq.plan().has_fusion());
 
   // Group spans must tile the layer list exactly.
   std::size_t expect_begin = 0;
@@ -230,7 +229,10 @@ TEST(PlanTraining, FusedTrainingStepIsBitwiseAcrossThreads) {
   seq.emplace<Linear>(4 * 5 * 5, 16, rng);
   seq.emplace<ReLU>();
   seq.emplace<Linear>(16, 3, rng);
-  ASSERT_TRUE(seq.plan().has_fusion());
+  const auto& groups = seq.plan().groups();
+  ASSERT_EQ(groups.size(), 4U);
+  ASSERT_EQ(groups[0].kind, FuseKind::kConvRelu);
+  ASSERT_EQ(groups[2].kind, FuseKind::kLinearRelu);
   const Shape in_shape({4, 2, 5, 5});
   const Tensor x = random_input(in_shape, 31);
   const Tensor g = random_input(Shape({4, 3}), 37);
@@ -241,7 +243,9 @@ TEST(PlanTraining, FusedTrainingStepIsBitwiseAcrossThreads) {
       set_planner_enabled(planned);
       for (Parameter* p : seq.parameters()) p->zero_grad();
       const Tensor out = seq.forward(x, /*training=*/true);
-      EXPECT_EQ(seq.last_forward_planned(), planned);
+      // Planner off walks the same groups, each one unfused.
+      EXPECT_EQ(groups[0].ran_fused, planned);
+      EXPECT_EQ(groups[2].ran_fused, planned);
       const Tensor gin = seq.backward(g);
       std::vector<std::vector<float>> grads;
       for (Parameter* p : seq.parameters()) {
