@@ -66,7 +66,7 @@ std::string attribution_path(const std::string& base, std::int64_t k,
 }
 
 Row run_one(const data::Dataset& train, const data::Dataset& test,
-            std::int64_t k, std::int64_t rounds, core::Schedule schedule,
+            std::int64_t k, std::int64_t rounds, std::int64_t staleness_bound,
             double participation, const char* label, WireCodec codec,
             const std::string& attribution_out) {
   Rng prng(3);
@@ -81,7 +81,8 @@ Row run_one(const data::Dataset& train, const data::Dataset& test,
   cfg.eval_every = rounds;
   cfg.eval_batch = 16;
   cfg.sgd = comparison_sgd();
-  cfg.schedule = schedule;
+  cfg.schedule = core::Schedule::kBoundedStaleness;
+  cfg.staleness_bound = staleness_bound;
   cfg.participation = participation;
   if (!attribution_out.empty()) {
     cfg.obs.enabled = true;
@@ -195,7 +196,8 @@ int main(int argc, char** argv) {
                "wall ms/round"});
   std::vector<Row> rows;
   for (const std::int64_t k : ks) {
-    rows.push_back(run_one(train, test, k, rounds, core::Schedule::kOverlapped,
+    // Staleness bound 0: every round is a full drain barrier (overlapped).
+    rows.push_back(run_one(train, test, k, rounds, /*staleness_bound=*/0,
                            1.0, "overlapped", codec,
                            attribution_path(attribution_out, k,
                                             "overlapped")));
@@ -205,8 +207,7 @@ int main(int argc, char** argv) {
         k <= kActiveTarget
             ? 1.0
             : static_cast<double>(kActiveTarget) / static_cast<double>(k);
-    rows.push_back(run_one(train, test, k, rounds,
-                           core::Schedule::kBoundedStaleness, part,
+    rows.push_back(run_one(train, test, k, rounds, /*staleness_bound=*/1, part,
                            "bounded(S=1)", codec,
                            attribution_path(attribution_out, k, "bounded")));
     for (std::size_t i = rows.size() - 2; i < rows.size(); ++i) {

@@ -38,14 +38,15 @@ int main() {
     };
     for (const Case& c :
          {Case{core::Schedule::kSequential, 1.0, "sequential (paper)"},
-          Case{core::Schedule::kOverlapped, 1.0, "overlapped"},
-          Case{core::Schedule::kOverlapped, 0.5, "overlapped"}}) {
+          Case{core::Schedule::kBoundedStaleness, 1.0, "overlapped"},
+          Case{core::Schedule::kBoundedStaleness, 0.5, "overlapped"}}) {
       core::SplitConfig cfg;
       cfg.total_batch = 4 * k;
       cfg.rounds = kRounds;
       cfg.eval_every = kRounds;
       cfg.sgd = comparison_sgd();
       cfg.schedule = c.schedule;
+      cfg.staleness_bound = 0;  // overlapped: every round drains fully
       cfg.participation = c.participation;
       core::SplitTrainer trainer(builder, train, partition, test, cfg);
       const auto report = trainer.run();

@@ -11,8 +11,8 @@
 //   flight" (run_step). With one step in flight exactly one frame is in
 //   flight, so global-earliest delivery is the activation -> logits ->
 //   logit grad -> cut grad exchange, in that order.
-// * Overlapped and bounded staleness keep many steps in flight
-//   (begin_step + drain).
+// * Bounded staleness keeps many steps in flight (begin_step + drain); at
+//   staleness bound 0 every round drains fully (the overlapped schedule).
 // * Under WAN fault injection, steps and membership join handshakes wait
 //   through one timeout loop: a fresh window per protocol stage,
 //   retransmission with exponential backoff, and abandonment after
@@ -87,8 +87,8 @@ class EventScheduler {
   /// every round folds in work, however stale) — or no step is left in
   /// flight. Completed platform indices are appended to `completed` in
   /// completion order. With horizon >= the newest start round this is a
-  /// full drain barrier (the overlapped schedule, checkpoint boundaries,
-  /// the final round).
+  /// full drain barrier (staleness bound 0, checkpoint boundaries, the
+  /// final round).
   void drain(std::int64_t horizon, std::vector<std::size_t>& completed);
 
  private:

@@ -24,7 +24,7 @@ struct ServerOptions {
   /// ProtocolError.
   WireCodec codec = WireCodec::kF32;
   /// When true, activations arriving while a backward is outstanding are
-  /// queued and served FIFO (the overlapped schedule); when false they are
+  /// queued and served FIFO (bounded staleness); when false they are
   /// a protocol violation (the paper's strictly sequential workflow).
   bool allow_queueing = false;
   /// WAN fault tolerance: requests are handled idempotently — a duplicated

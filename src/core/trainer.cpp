@@ -423,16 +423,14 @@ metrics::TrainReport SplitTrainer::run() {
         }
       }
       // The round boundary waits for every step older than the staleness
-      // bound and for at least one completion. Overlapped rounds,
-      // checkpoint boundaries, L1 syncs and the final round are full drain
-      // barriers (every straggler folds in before state is captured or the
-      // report closes).
+      // bound (S = 0: all of them) and for at least one completion.
+      // Checkpoint boundaries and the final round are full drain barriers
+      // (every straggler folds in before state is captured or the report
+      // closes).
       const bool drain_fully =
-          config_.schedule == Schedule::kOverlapped ||
           round == config_.rounds ||
           (config_.checkpoint_every > 0 &&
-           round % config_.checkpoint_every == 0) ||
-          (config_.sync_l1_every > 0 && round % config_.sync_l1_every == 0);
+           round % config_.checkpoint_every == 0);
       scheduler_->drain(drain_fully ? round : round - config_.staleness_bound,
                         stepped);
     }

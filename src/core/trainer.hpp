@@ -4,10 +4,10 @@
 // One round = every platform performs one 4-message protocol step against
 // the server. Under the paper's sequential schedule at most one step is in
 // flight (the server's L2..Lk state is updated after each platform's
-// minibatch — round-robin split learning); the overlapped schedules keep
-// many in flight. Either way the EventScheduler delivers every frame; the
-// trainer keeps the round policy (participants, membership gates, drain
-// horizons). Platforms keep their own L1 replicas, initialized identically
+// minibatch — round-robin split learning); the bounded-staleness schedule
+// keeps many in flight (staleness bound 0: overlapped, drained every
+// round). Either way the EventScheduler delivers every frame; the trainer
+// keeps the round policy (participants, membership gates, drain horizons). Platforms keep their own L1 replicas, initialized identically
 // (the paper's postulate) and never re-synchronized unless the
 // sync_l1_every extension is enabled.
 #pragma once
@@ -41,15 +41,13 @@ enum class Schedule {
   /// another; platform k+1 starts uploading only after k fully finished.
   kSequential,
   /// All participating platforms upload concurrently (separate WAN links);
-  /// the server processes arrivals FIFO. Same mathematics, same bytes, less
-  /// wall-clock — the latency optimization the sequential workflow leaves
-  /// on the table. Round boundaries are full drain barriers.
-  kOverlapped,
-  /// Overlapped uploads WITHOUT the per-round drain barrier: a round only
-  /// waits for steps that started more than `staleness_bound` rounds ago,
-  /// so a straggler hospital folds its step in late instead of stalling
-  /// everyone. Deterministic — completion order is the network's
-  /// (arrival time, send sequence) order. Requires sync_l1_every == 0.
+  /// the server processes arrivals FIFO, and a round only waits for steps
+  /// that started more than `staleness_bound` rounds ago, so a straggler
+  /// hospital folds its step in late instead of stalling everyone. With
+  /// staleness_bound = 0 every round boundary is a full drain barrier (the
+  /// overlapped schedule): same mathematics, same bytes as sequential, less
+  /// wall-clock. Deterministic — completion order is the network's (arrival
+  /// time, send sequence) order. Requires sync_l1_every == 0.
   kBoundedStaleness,
 };
 
@@ -87,7 +85,7 @@ struct SplitConfig {
   /// kBoundedStaleness only: how many rounds late a straggler's step may
   /// fold in. Round r's boundary waits for every step begun at or before
   /// round r - staleness_bound (and for at least one completion, so every
-  /// round makes progress). 0 = the overlapped barrier.
+  /// round makes progress). 0 = a full drain every round (overlapped).
   std::int64_t staleness_bound = 1;
   /// Per-round probability that a platform participates (fault injection /
   /// intermittent hospitals). At least one platform always participates.

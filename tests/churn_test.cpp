@@ -101,7 +101,8 @@ TEST(ChurnConfig, SplitConfigValidateNamesTheContradiction) {
   // Membership requires the sequential schedule.
   core::SplitConfig sched;
   sched.membership.enabled = true;
-  sched.schedule = core::Schedule::kOverlapped;
+  sched.schedule = core::Schedule::kBoundedStaleness;
+  sched.staleness_bound = 0;
   EXPECT_THROW(sched.validate(3), InvalidArgument);
 
   // min_quorum beyond the roster can never be met.

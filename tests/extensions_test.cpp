@@ -291,7 +291,8 @@ TEST(OverlappedSchedule, SameBytesLessSimTime) {
   core::SplitTrainer seq(builder(), train, partition, test, cfg);
   const auto seq_report = seq.run();
 
-  cfg.schedule = core::Schedule::kOverlapped;
+  cfg.schedule = core::Schedule::kBoundedStaleness;
+  cfg.staleness_bound = 0;
   core::SplitTrainer ovl(builder(), train, partition, test, cfg);
   const auto ovl_report = ovl.run();
 
@@ -313,7 +314,8 @@ TEST(OverlappedSchedule, SinglePlatformMatchesSequentialExactly) {
   core::SplitTrainer seq(builder(), train, {shard}, test, cfg);
   seq.run();
 
-  cfg.schedule = core::Schedule::kOverlapped;
+  cfg.schedule = core::Schedule::kBoundedStaleness;
+  cfg.staleness_bound = 0;
   core::SplitTrainer ovl(builder(), train, {shard}, test, cfg);
   ovl.run();
 
@@ -389,7 +391,8 @@ TEST(CombinedExtensions, QuantizedOverlappedNoisyPartialStillLearns) {
   cfg.rounds = 40;
   cfg.eval_every = 40;
   cfg.codec = WireCodec::kI8;
-  cfg.schedule = core::Schedule::kOverlapped;
+  cfg.schedule = core::Schedule::kBoundedStaleness;
+  cfg.staleness_bound = 0;
   cfg.smash_noise_std = 0.05F;
   cfg.participation = 0.8;
   core::SplitTrainer trainer(builder(), train, partition, test, cfg);

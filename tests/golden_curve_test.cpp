@@ -579,10 +579,12 @@ TEST(GoldenPaths, ChaosRunMatchesFingerprint) {
 }
 
 TEST(GoldenPaths, OverlappedRunMatchesFingerprint) {
+  // Overlapped = bounded staleness with S = 0: every round drains fully.
   std::uint64_t ledger = 0;
   const auto report = golden_run(
       [](core::SplitConfig& cfg) {
-        cfg.schedule = core::Schedule::kOverlapped;
+        cfg.schedule = core::Schedule::kBoundedStaleness;
+        cfg.staleness_bound = 0;
       },
       &ledger);
   expect_run_fingerprint(report, ledger, kGoldenOverlapped, "overlapped");

@@ -155,8 +155,8 @@ TEST(SplitEquivalence, MeasuredBytesMatchAnalyticModel) {
 }
 
 TEST(SplitEquivalence, ScheduleAndThreadsInvariantBytesAndAccuracy) {
-  // ISSUE: sequential and overlapped schedules are the same mathematics on
-  // the same wire — only sim wall-clock may differ. And neither schedule may
+  // The sequential and overlapped (bounded staleness 0) schedules are the
+  // same mathematics on the same wire — only sim wall-clock may differ. And neither schedule may
   // react to the substrate thread count. All four (schedule, threads)
   // combinations must report identical byte totals, final accuracy, and
   // loss curves for a 3-platform run.
@@ -165,7 +165,7 @@ TEST(SplitEquivalence, ScheduleAndThreadsInvariantBytesAndAccuracy) {
 
   std::vector<metrics::TrainReport> reports;
   for (const core::Schedule schedule :
-       {core::Schedule::kSequential, core::Schedule::kOverlapped}) {
+       {core::Schedule::kSequential, core::Schedule::kBoundedStaleness}) {
     for (const int threads : {1, 4}) {
       core::SplitConfig cfg;
       cfg.total_batch = 12;
@@ -173,6 +173,7 @@ TEST(SplitEquivalence, ScheduleAndThreadsInvariantBytesAndAccuracy) {
       cfg.eval_every = 2;
       cfg.seed = 77;
       cfg.schedule = schedule;
+      cfg.staleness_bound = 0;  // bounded staleness drains every round
       cfg.threads = threads;
       Rng prng(31);
       const auto partition = data::partition_iid(train.size(), 3, prng);
@@ -277,12 +278,13 @@ TEST(BoundedStaleness, StragglersFoldInWithoutStallingTheRound) {
   const auto train = make_dataset(48, 4, 8);
   const auto test = make_dataset(16, 4, 8);
 
-  const auto run_with = [&](core::Schedule schedule) {
+  const auto run_with = [&](std::int64_t staleness_bound) {
     core::SplitConfig cfg;
     cfg.total_batch = 12;
     cfg.rounds = 6;
     cfg.eval_every = 6;
-    cfg.schedule = schedule;
+    cfg.schedule = core::Schedule::kBoundedStaleness;
+    cfg.staleness_bound = staleness_bound;
     Rng prng(13);
     const auto partition = data::partition_iid(train.size(), 4, prng);
     core::SplitTrainer trainer(mlp_builder(), train, partition, test, cfg);
@@ -301,8 +303,8 @@ TEST(BoundedStaleness, StragglersFoldInWithoutStallingTheRound) {
     return report;
   };
 
-  const auto overlapped = run_with(core::Schedule::kOverlapped);
-  const auto bounded = run_with(core::Schedule::kBoundedStaleness);
+  const auto overlapped = run_with(0);
+  const auto bounded = run_with(1);
   EXPECT_LE(bounded.total_sim_seconds, overlapped.total_sim_seconds);
   EXPECT_GT(bounded.final_accuracy, 0.0);
 }
