@@ -196,7 +196,8 @@ BENCHMARK(BM_ConvForward)
     ->Args({3, 16, 16, 16, kLayerThreads})
     ->Apply([](benchmark::internal::Benchmark* b) {
       vgg_mini_conv_args(b, false);
-    });
+    })
+    ->UseRealTime();
 
 void BM_ConvBackward(benchmark::State& state) {
   set_global_threads(static_cast<int>(state.range(4)));
@@ -222,7 +223,8 @@ BENCHMARK(BM_ConvBackward)
     ->Args({3, 16, 16, 32, kLayerThreads, 1})
     ->Apply([](benchmark::internal::Benchmark* b) {
       vgg_mini_conv_args(b, true);
-    });
+    })
+    ->UseRealTime();
 
 void BM_LinearForward(benchmark::State& state) {
   set_global_threads(kLayerThreads);
@@ -234,7 +236,7 @@ void BM_LinearForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data().data());
   }
 }
-BENCHMARK(BM_LinearForward);
+BENCHMARK(BM_LinearForward)->UseRealTime();
 
 // A wide Linear at a small batch: its forward and input-gradient GEMMs have
 // m = batch, fewer row blocks than pool threads, so only a split by column
@@ -271,8 +273,8 @@ BENCHMARK(BM_LinearSmallBatch)
 
 // --- Execution-planner fusion families -------------------------------------
 // Each pair runs the SAME bytes-identical computation (plan_test asserts
-// bitwise equality) through the fused epilogue path vs the legacy per-layer
-// path, so Fused/Unfused time ratios isolate what fusion buys: no
+// bitwise equality) through the fused epilogue path vs the same plan run
+// unfused, so Fused/Unfused time ratios isolate what fusion buys: no
 // intermediate tensor materialization, no separate bias/BN/ReLU passes over
 // the output. `peak_ws_bytes` reports the step-peak arena watermark the
 // planner's slab chaining is measured by.
@@ -309,8 +311,8 @@ void BM_ConvBnRelu_Fused(benchmark::State& state) {
 void BM_ConvBnRelu_Unfused(benchmark::State& state) {
   conv_bn_relu_bench(state, false);
 }
-BENCHMARK(BM_ConvBnRelu_Fused);
-BENCHMARK(BM_ConvBnRelu_Unfused);
+BENCHMARK(BM_ConvBnRelu_Fused)->UseRealTime();
+BENCHMARK(BM_ConvBnRelu_Unfused)->UseRealTime();
 
 void linear_relu_bench(benchmark::State& state, bool fused) {
   set_global_threads(kLayerThreads);
@@ -327,8 +329,8 @@ void BM_LinearRelu_Fused(benchmark::State& state) {
 void BM_LinearRelu_Unfused(benchmark::State& state) {
   linear_relu_bench(state, false);
 }
-BENCHMARK(BM_LinearRelu_Fused);
-BENCHMARK(BM_LinearRelu_Unfused);
+BENCHMARK(BM_LinearRelu_Fused)->UseRealTime();
+BENCHMARK(BM_LinearRelu_Unfused)->UseRealTime();
 
 // Slab-chained deep inference: peak_ws_bytes must be flat in the depth arg
 // with the planner on (2-slab ping-pong) — the pass-2 memory claim in
@@ -352,8 +354,8 @@ void BM_ConvChainInfer_Fused(benchmark::State& state) {
 void BM_ConvChainInfer_Unfused(benchmark::State& state) {
   conv_chain_bench(state, false);
 }
-BENCHMARK(BM_ConvChainInfer_Fused)->Arg(4)->Arg(16);
-BENCHMARK(BM_ConvChainInfer_Unfused)->Arg(4)->Arg(16);
+BENCHMARK(BM_ConvChainInfer_Fused)->Arg(4)->Arg(16)->UseRealTime();
+BENCHMARK(BM_ConvChainInfer_Unfused)->Arg(4)->Arg(16)->UseRealTime();
 
 void BM_TensorCodecRoundTrip(benchmark::State& state) {
   set_global_threads(kKernelThreads);
