@@ -62,7 +62,10 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
   ensure_plan();
   const bool fuse = planner_enabled();
   const bool traced = obs::detail_at_least(2);
-  Tensor x = input;
+  // The running activation: the input until a layer has run, so the input
+  // is never copied.
+  const Tensor* cur = &input;
+  Tensor x;
   auto& groups = plan_.groups();
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     FusedGroup& g = groups[gi];
@@ -80,14 +83,14 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
       case FuseKind::kConvRelu: {
         const gemmk::Epilogue ep =
             make_conv_epilogue(*g.conv, nullptr, {}, /*relu=*/true);
-        x = g.conv->forward_fused(x, ep, /*cache=*/true);
+        x = g.conv->forward_fused(*cur, ep, /*cache=*/true);
         g.fused_out = x;
         g.ran_fused = true;
         break;
       }
       case FuseKind::kLinearRelu: {
         const gemmk::Epilogue ep = make_linear_epilogue(*g.linear, true);
-        x = g.linear->forward_fused(x, ep, /*cache=*/true);
+        x = g.linear->forward_fused(*cur, ep, /*cache=*/true);
         g.fused_out = x;
         g.ran_fused = true;
         break;
@@ -95,12 +98,15 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
       default: {
         g.ran_fused = false;
         for (std::size_t i = g.begin; i < g.end; ++i) {
-          x = layers_[i]->forward(x, training);
+          x = layers_[i]->forward(*cur, training);
+          cur = &x;
         }
         break;
       }
     }
+    cur = &x;
   }
+  if (cur == &input) return input;
   return x;
 }
 
@@ -120,7 +126,9 @@ Tensor Sequential::backward_to(const Tensor& grad_output, bool input_grad) {
   // A fused group's producer is its first layer, so it is the stop layer
   // whenever the stop falls inside that group.
   const std::size_t stop = input_grad ? 0 : first_param_layer_;
-  Tensor g = grad_output;
+  // The running gradient, never a copy of grad_output (as in forward).
+  const Tensor* cur = &grad_output;
+  Tensor g;
   auto& groups = plan_.groups();
   // Groups that end at or below the stop layer have nothing left to do.
   for (std::size_t gi = groups.size(); gi-- > 0 && groups[gi].end > stop;) {
@@ -133,12 +141,12 @@ Tensor Sequential::backward_to(const Tensor& grad_output, bool input_grad) {
       // including -0.0 and NaN→0, so the masked bytes equal
       // ReLU::backward's result), scratch-buffered in the arena, then the
       // producing layer's backward runs on those bytes.
-      check_same_shape(g.shape(), grp.fused_out.shape(),
+      check_same_shape(cur->shape(), grp.fused_out.shape(),
                        "Sequential fused backward");
       ws::WorkspaceScope scope;
       std::span<float> masked = scope.floats(grp.fused_out.numel());
       auto fd = grp.fused_out.data();
-      auto gd = g.data();
+      auto gd = cur->data();
       for (std::size_t i = 0; i < gd.size(); ++i) {
         masked[i] = fd[i] > 0.0F ? gd[i] : 0.0F;
       }
@@ -148,30 +156,35 @@ Tensor Sequential::backward_to(const Tensor& grad_output, bool input_grad) {
                                         want_dx)
               : grp.linear->backward_from(masked, grp.fused_out.shape(),
                                           want_dx);
+      cur = &g;
       continue;
     }
     for (std::size_t i = grp.end; i-- > std::max(grp.begin, stop);) {
       if (i == stop && !input_grad) {
-        layers_[i]->backward_params(g);
+        layers_[i]->backward_params(*cur);
       } else {
-        g = layers_[i]->backward(g);
+        g = layers_[i]->backward(*cur);
+        cur = &g;
       }
     }
   }
+  if (cur == &grad_output) return grad_output;
   return g;
 }
 
 Tensor Sequential::infer(const Tensor& input) {
   ensure_plan();
   const bool fuse = planner_enabled();
-  Tensor x = input;
+  const Tensor* cur = &input;  // as in forward: the input is never copied
+  Tensor x;
   auto& groups = plan_.groups();
   std::size_t gi = 0;
   while (gi < groups.size()) {
     if (!fuse || groups[gi].kind == FuseKind::kPassthrough) {
       // Each layer's own cache-free infer().
       for (std::size_t i = groups[gi].begin; i < groups[gi].end; ++i) {
-        x = layers_[i]->infer(x);
+        x = layers_[i]->infer(*cur);
+        cur = &x;
       }
       ++gi;
       continue;
@@ -182,9 +195,11 @@ Tensor Sequential::infer(const Tensor& input) {
            groups[gj].kind != FuseKind::kPassthrough) {
       ++gj;
     }
-    x = infer_fused_run(x, gi, gj);
+    x = infer_fused_run(*cur, gi, gj);
+    cur = &x;
     gi = gj;
   }
+  if (cur == &input) return input;
   return x;
 }
 

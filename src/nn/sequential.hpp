@@ -1,4 +1,10 @@
 // Ordered container of layers — the unit the split-learning cut operates on.
+//
+// Every entry point walks the layer list's ExecutionPlan (src/nn/plan.hpp):
+// forward, backward/backward_params and infer each loop once over the
+// plan's groups. The planner switch only decides whether a group runs
+// fused; with it off every group runs its layers one by one, bitwise
+// identically.
 #pragma once
 
 #include <memory>
