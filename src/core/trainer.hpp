@@ -7,9 +7,10 @@
 // minibatch — round-robin split learning); the bounded-staleness schedule
 // keeps many in flight (staleness bound 0: overlapped, drained every
 // round). Either way the EventScheduler delivers every frame; the trainer
-// keeps the round policy (participants, membership gates, drain horizons). Platforms keep their own L1 replicas, initialized identically
-// (the paper's postulate) and never re-synchronized unless the
-// sync_l1_every extension is enabled.
+// keeps the round policy (participants, membership gates, drain horizons).
+// Platforms keep their own L1 replicas, initialized identically (the
+// paper's postulate) and never re-synchronized unless the sync_l1_every
+// extension is enabled.
 #pragma once
 
 #include <functional>

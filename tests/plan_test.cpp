@@ -182,7 +182,7 @@ TEST(PlanTraining, TrainingBnStaysUnfused) {
   // Training-mode BN needs batch statistics of the conv output — fusing it
   // would compute statistics of a tensor that no longer exists. The planned
   // forward must run conv→bn→relu per-layer under training, and the BN
-  // running statistics must advance exactly as in the legacy path.
+  // running statistics must advance exactly as with the planner off.
   PlannerGuard guard;
   Rng rng(17);
   Sequential seq;
@@ -270,8 +270,8 @@ TEST(PlanTraining, FusedTrainingStepIsBitwiseAcrossThreads) {
 
 TEST(PlanInfer, InferMatchesEvalForwardBitwise) {
   // The inference path adds what training cannot have: fused eval-mode BN
-  // and slab-chained intermediates. Still bitwise identical to the legacy
-  // per-layer forward(x, false), across thread counts.
+  // and slab-chained intermediates. Still bitwise identical to the
+  // planner-off forward(x, false), across thread counts.
   PlannerGuard guard;
   Rng rng(41);
   Sequential seq;
@@ -372,7 +372,7 @@ TEST(PlanInfer, PeakWorkspaceIsFlatInDepth) {
 
 TEST(PlanInfer, PlannerOffInferStillMatches) {
   // infer() must be safe (and identical) with the planner disabled — it
-  // falls back to the per-layer eval loop.
+  // runs every group's layers through their own infer().
   PlannerGuard guard;
   Rng rng(67);
   Sequential seq;

@@ -156,10 +156,10 @@ TEST(SplitEquivalence, MeasuredBytesMatchAnalyticModel) {
 
 TEST(SplitEquivalence, ScheduleAndThreadsInvariantBytesAndAccuracy) {
   // The sequential and overlapped (bounded staleness 0) schedules are the
-  // same mathematics on the same wire — only sim wall-clock may differ. And neither schedule may
-  // react to the substrate thread count. All four (schedule, threads)
-  // combinations must report identical byte totals, final accuracy, and
-  // loss curves for a 3-platform run.
+  // same mathematics on the same wire — only sim wall-clock may differ.
+  // And neither schedule may react to the substrate thread count. All four
+  // (schedule, threads) combinations must report identical byte totals,
+  // final accuracy, and loss curves for a 3-platform run.
   const auto train = make_dataset(48, 4, 8);
   const auto test = make_dataset(16, 4, 8);
 
