@@ -378,6 +378,7 @@ TEST(Layers, InferLeavesThePendingBackwardAlone) {
   // infer() equals forward(x, false) bitwise, and a backward pending from a
   // training forward is unchanged by an infer() in between — even at
   // another batch size, as when evaluation runs while a step is in flight.
+  constexpr int kLinear = 10;
   const auto make = [](int which, Rng& rng) -> nn::LayerPtr {
     switch (which) {
       case 0: return std::make_unique<nn::Tanh>();
@@ -385,21 +386,33 @@ TEST(Layers, InferLeavesThePendingBackwardAlone) {
       case 2: return std::make_unique<nn::Dropout>(0.5F, rng);
       case 3: return std::make_unique<nn::Flatten>();
       case 4: return std::make_unique<nn::AvgPool2d>(2);
-      default: return std::make_unique<nn::GlobalAvgPool>();
+      case 5: return std::make_unique<nn::GlobalAvgPool>();
+      case 6: return std::make_unique<nn::ReLU>();
+      case 7: return std::make_unique<nn::BatchNorm2d>(3);
+      case 8: return std::make_unique<nn::MaxPool2d>(2);
+      case 9: return std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, rng);
+      default: return std::make_unique<nn::Linear>(48, 5, rng);
     }
   };
   Rng data(37);
-  const Tensor x = Tensor::normal(Shape{2, 3, 4, 4}, data);
-  const Tensor other = Tensor::normal(Shape{5, 3, 4, 4}, data);
-  for (int which = 0; which < 6; ++which) {
+  const Tensor images = Tensor::normal(Shape{2, 3, 4, 4}, data);
+  const Tensor other_images = Tensor::normal(Shape{5, 3, 4, 4}, data);
+  for (int which = 0; which <= kLinear; ++which) {
+    // Linear sees the same data, one 48-feature row per image.
+    const Tensor x =
+        which == kLinear ? images.reshape(Shape{2, 48}) : images;
+    const Tensor other =
+        which == kLinear ? other_images.reshape(Shape{5, 48}) : other_images;
     Rng rng_a(41);
     Rng rng_b(41);
     Rng rng_c(41);
     nn::LayerPtr a = make(which, rng_a);  // forward, backward
     nn::LayerPtr b = make(which, rng_b);  // forward, infer, backward
-    nn::LayerPtr c = make(which, rng_c);  // eval-mode forward
+    nn::LayerPtr c = make(which, rng_c);  // forward, eval-mode forward
     const Tensor y = a->forward(x, true);
     (void)b->forward(x, true);
+    // The same training forward, so BatchNorm's running statistics match b's.
+    (void)c->forward(x, true);
     const Tensor g = Tensor::normal(y.shape(), data);
     const Tensor inferred = b->infer(other);
     const Tensor eval = c->forward(other, false);
@@ -415,6 +428,18 @@ TEST(Layers, InferLeavesThePendingBackwardAlone) {
                           want.data().size_bytes()),
               0)
         << a->name();
+    // Linear's input gradient never reads its input cache; the weight
+    // gradient does.
+    const std::vector<nn::Parameter*> want_params = a->parameters();
+    const std::vector<nn::Parameter*> got_params = b->parameters();
+    ASSERT_EQ(got_params.size(), want_params.size()) << a->name();
+    for (std::size_t i = 0; i < want_params.size(); ++i) {
+      const auto want_grad = want_params[i]->grad.data();
+      EXPECT_EQ(std::memcmp(got_params[i]->grad.data().data(),
+                            want_grad.data(), want_grad.size_bytes()),
+                0)
+          << a->name() << " parameter " << i;
+    }
   }
 }
 
