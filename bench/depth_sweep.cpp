@@ -3,9 +3,9 @@
 // SGD, FedAvg) pay per parameter, so their per-step cost grows with depth;
 // the split protocol pays per cut activation, which is depth-independent.
 // Analytic sweep across the VGG/ResNet families at paper scale, plus a
-// MEASURED sweep of the execution planner's memory claim: with lifetime-
-// colored slab reuse, peak workspace bytes per inference step stay flat in
-// depth instead of growing with it.
+// MEASURED sweep of the execution planner's memory claim: with fused
+// groups ping-ponging between two slabs, peak workspace bytes per inference
+// step stay flat in depth instead of growing with it.
 #include <chrono>
 #include <iostream>
 
@@ -106,7 +106,7 @@ int main() {
   }
   mem.print(std::cout);
   std::cout << "\nreading: with the planner on, fused groups chain through "
-               "2 lifetime-colored arena slabs, so the per-step arena peak "
+               "2 ping-pong arena slabs, so the per-step arena peak "
                "is FLAT from depth 4 on; with it off, every intermediate is "
                "a heap tensor and the only arena use is per-layer scratch.\n"
             << std::endl;

@@ -8,13 +8,7 @@ namespace splitmed::nn {
 
 Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
-  Tensor out(input.shape());
-  auto id = input.data();
-  auto od = out.data();
-  for (std::size_t i = 0; i < id.size(); ++i) {
-    od[i] = id[i] > 0.0F ? id[i] : 0.0F;
-  }
-  return out;
+  return infer(input);
 }
 
 Tensor ReLU::infer(const Tensor& input) {

@@ -9,7 +9,7 @@ class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
-  /// Same max(x, 0), no input cache.
+  /// max(x, 0); forward() is this plus the input cache.
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override {
     return input;

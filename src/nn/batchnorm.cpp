@@ -44,6 +44,14 @@ Shape BatchNorm2d::output_shape(const Shape& input) const {
 }
 
 Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
+  if (!training) {
+    // infer() validates the input before the flags and the cache change.
+    Tensor out = infer(input);
+    last_forward_training_ = false;
+    has_forward_ = true;
+    cached_eval_input_ = input;
+    return out;
+  }
   (void)output_shape(input.shape());
   const std::int64_t batch = input.shape().dim(0);
   const std::int64_t hw = input.shape().dim(2) * input.shape().dim(3);
@@ -56,17 +64,16 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
   auto gd = gamma_.value.data();
   auto bd = beta_.value.data();
 
-  last_forward_training_ = training;
+  last_forward_training_ = true;
   has_forward_ = true;
-  if (training) {
-    cached_xhat_ = Tensor(input.shape());
-    cached_inv_std_ = Tensor(Shape{channels_});
-    auto xh = cached_xhat_.data();
-    auto is = cached_inv_std_.data();
-    auto rm = running_mean_.data();
-    auto rv = running_var_.data();
-    parallel_for(0, channels_, bn_channel_grain(batch, hw),
-                 [&](std::int64_t cc0, std::int64_t cc1) {
+  cached_xhat_ = Tensor(input.shape());
+  cached_inv_std_ = Tensor(Shape{channels_});
+  auto xh = cached_xhat_.data();
+  auto is = cached_inv_std_.data();
+  auto rm = running_mean_.data();
+  auto rv = running_var_.data();
+  parallel_for(0, channels_, bn_channel_grain(batch, hw),
+               [&](std::int64_t cc0, std::int64_t cc1) {
     for (std::int64_t c = cc0; c < cc1; ++c) {
       double sum = 0.0, sq = 0.0;
       for (std::int64_t b = 0; b < batch; ++b) {
@@ -100,36 +107,11 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
         }
       }
     }
-    });
-  } else {
-    cached_eval_input_ = input;
-    auto rm = running_mean_.data();
-    auto rv = running_var_.data();
-    parallel_for(0, channels_, bn_channel_grain(batch, hw),
-                 [&](std::int64_t cc0, std::int64_t cc1) {
-    for (std::int64_t c = cc0; c < cc1; ++c) {
-      const float mean = rm[static_cast<std::size_t>(c)];
-      const float inv_std =
-          1.0F / std::sqrt(rv[static_cast<std::size_t>(c)] + eps_);
-      const float g = gd[static_cast<std::size_t>(c)];
-      const float bt = bd[static_cast<std::size_t>(c)];
-      for (std::int64_t b = 0; b < batch; ++b) {
-        const float* in_plane = id.data() + (b * channels_ + c) * hw;
-        float* out_plane = od.data() + (b * channels_ + c) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) {
-          out_plane[i] = g * (in_plane[i] - mean) * inv_std + bt;
-        }
-      }
-    }
-    });
-  }
+  });
   return out;
 }
 
 Tensor BatchNorm2d::infer(const Tensor& input) {
-  // The eval-mode normalization loop of forward(), minus the backward cache
-  // (cached_eval_input_ copy) and the mode flags. Expression, association,
-  // and channel partitioning are identical, so the output bits are too.
   (void)output_shape(input.shape());
   const std::int64_t batch = input.shape().dim(0);
   const std::int64_t hw = input.shape().dim(2) * input.shape().dim(3);

@@ -18,8 +18,8 @@ class BatchNorm2d final : public Layer {
   /// differentiates exactly that (used by privacy::reconstruct_inputs,
   /// which attacks the deployed eval-mode L1).
   Tensor backward(const Tensor& grad_output) override;
-  /// Eval normalization without the backward cache (no input copy, no
-  /// has_forward_ flip). Bitwise identical to forward(input, false).
+  /// Eval normalization with the running estimates; forward(input, false)
+  /// is this plus the backward cache (input copy, mode flags).
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }

@@ -11,7 +11,9 @@
 //    matched by at most one backward before the next forward.
 //  - backward(grad_out) ACCUMULATES into each Parameter::grad (callers run
 //    zero_grad() between steps) and returns grad w.r.t. the forward input.
-//  - infer(x) equals forward(x, false) bitwise and touches no cache.
+//  - infer(x) equals forward(x, false) bitwise and touches no cache. A leaf
+//    layer's eval forward records its backward cache and runs infer's body,
+//    so the equality holds by construction.
 //  - output_shape(in) is pure: it computes shapes without running data
 //    through the layer (used by the analytic communication model).
 #pragma once
@@ -45,13 +47,14 @@ class Layer {
     (void)backward(grad_output);
   }
 
-  /// Inference-only forward: bitwise identical outputs to
-  /// forward(input, /*training=*/false), and it leaves every cache a
-  /// pending backward needs untouched — evaluation may run while a step is
-  /// in flight (bounded staleness). The execution planner overrides it to
-  /// fuse whole chains through arena slabs. Callers that need backward
-  /// after an eval-mode pass — the privacy reconstruction attack — must
-  /// keep using forward(x, false).
+  /// Inference-only forward: the body forward(input, /*training=*/false)
+  /// runs after recording its backward cache, so the outputs are bitwise
+  /// identical, and it leaves every cache a pending backward needs
+  /// untouched — evaluation may run while a step is in flight (bounded
+  /// staleness). The execution planner overrides it to fuse whole chains
+  /// through arena slabs, held to the same bits by plan_test and the golden
+  /// pins. Callers that need backward after an eval-mode pass — the privacy
+  /// reconstruction attack — must keep using forward(x, false).
   virtual Tensor infer(const Tensor& input) = 0;
 
   /// Output shape for a given input shape, without executing.

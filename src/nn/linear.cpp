@@ -4,8 +4,8 @@
 
 #include "src/common/error.hpp"
 #include "src/nn/init.hpp"
+#include "src/nn/plan.hpp"
 #include "src/tensor/gemm.hpp"
-#include "src/tensor/ops.hpp"
 #include "src/tensor/workspace.hpp"
 
 namespace splitmed::nn {
@@ -21,34 +21,15 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
 }
 
 Tensor Linear::forward(const Tensor& input, bool /*training*/) {
-  SPLITMED_CHECK(input.shape().rank() == 2 && input.shape().dim(1) == in_,
-                 "Linear(" << in_ << "->" << out_ << "): bad input "
-                           << input.shape().str());
-  cached_input_ = input;
-  Tensor out = ops::matmul_nt(input, weight_.value);  // [b,in]·[out,in]ᵀ
-  auto od = out.data();
-  auto bd = bias_.value.data();
-  const std::int64_t batch = input.shape().dim(0);
-  for (std::int64_t r = 0; r < batch; ++r) {
-    float* row = od.data() + r * out_;
-    for (std::int64_t c = 0; c < out_; ++c) row[c] += bd[c];
-  }
-  return out;
+  // The bias is the write-back epilogue: the same single add per element a
+  // separate pass over the output would do.
+  return forward_fused(input, make_linear_epilogue(*this, /*relu=*/false),
+                       /*cache=*/true);
 }
 
 Tensor Linear::infer(const Tensor& input) {
-  // Inference-only: bias fused at GEMM write-back (same single add per
-  // element as forward's read-modify-write loop), no input cache. Bitwise
-  // identical to forward(input, false).
-  SPLITMED_CHECK(input.shape().rank() == 2 && input.shape().dim(1) == in_,
-                 "Linear(" << in_ << "->" << out_ << "): bad input "
-                           << input.shape().str());
-  gemmk::Epilogue ep;
-  ep.bias = bias_.value.data().data();
-  ep.per_row = false;  // bias indexed by output feature = C column
-  Tensor out(Shape{input.shape().dim(0), out_});
-  run_fused(input.data(), input.shape().dim(0), out.data(), ep);
-  return out;
+  return forward_fused(input, make_linear_epilogue(*this, /*relu=*/false),
+                       /*cache=*/false);
 }
 
 Tensor Linear::forward_fused(const Tensor& input, const gemmk::Epilogue& ep,

@@ -1,6 +1,5 @@
 #include "src/nn/plan.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -39,40 +38,6 @@ bool planner_enabled() {
 
 void set_planner_enabled(bool enabled) {
   planner_state().store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-SlabAssignment color_intervals(std::span<const LifeInterval> intervals) {
-  SlabAssignment out;
-  out.color.resize(intervals.size());
-  // Per color: last_use of its current occupant, and the slab size so far.
-  std::vector<std::int64_t> expires;
-  for (std::size_t i = 0; i < intervals.size(); ++i) {
-    const LifeInterval& iv = intervals[i];
-    SPLITMED_CHECK(iv.def <= iv.last_use && iv.floats >= 0,
-                   "color_intervals: malformed interval [" << iv.def << ", "
-                                                           << iv.last_use
-                                                           << ")");
-    SPLITMED_CHECK(i == 0 || intervals[i - 1].def <= iv.def,
-                   "color_intervals: intervals must be sorted by def");
-    std::size_t c = expires.size();
-    for (std::size_t j = 0; j < expires.size(); ++j) {
-      // Closed intervals: reuse only when the occupant died strictly
-      // before this value is defined.
-      if (expires[j] < iv.def) {
-        c = j;
-        break;
-      }
-    }
-    if (c == expires.size()) {
-      expires.push_back(iv.last_use);
-      out.slab_floats.push_back(iv.floats);
-    } else {
-      expires[c] = iv.last_use;
-      out.slab_floats[c] = std::max(out.slab_floats[c], iv.floats);
-    }
-    out.color[i] = c;
-  }
-  return out;
 }
 
 gemmk::Epilogue make_conv_epilogue(const Conv2d& conv, const BatchNorm2d* bn,

@@ -19,12 +19,10 @@
 //      in forward(): kConvBn/kConvBnRelu groups run per-layer (unfused)
 //      under training, and fuse only under Sequential::infer().
 //
-//  Pass 2 — lifetime-based buffer reuse. Under Sequential::infer(), runs of
-//  fused groups chain through workspace-arena slabs instead of Tensors:
-//  each intermediate's lifetime is the closed interval [def group,
-//  last-use group], and a greedy interval coloring assigns intervals to
-//  reusable slabs (a straight chain ping-pongs between 2), so steady-state
-//  peak memory stops scaling with depth. Measured via
+//  Pass 2 — two-slab ping-pong. Under Sequential::infer(), runs of fused
+//  groups chain through two workspace-arena slabs instead of Tensors: group
+//  i writes slab i % 2 while it reads the other, so steady-state peak
+//  memory stops scaling with depth. Measured via
 //  ws::global_step_peak_bytes() / `splitmed_workspace_step_peak_bytes`.
 //
 // The plan is the only way a Sequential runs: forward, backward and infer
@@ -78,30 +76,6 @@ struct FusedGroup {
   bool ran_fused = false;
   Tensor fused_out;  ///< group output, cached for the dReLU backward mask
 };
-
-/// Lifetime of one chained intermediate: defined by group `def`, last read
-/// by group `last_use` (closed interval — two values conflict iff their
-/// intervals intersect, so [i, i+1] and [i+1, i+2] DO conflict: both are
-/// live while group i+1 runs).
-struct LifeInterval {
-  std::int64_t def = 0;
-  std::int64_t last_use = 0;
-  std::int64_t floats = 0;
-};
-
-/// Result of the greedy interval coloring: one slab per color, each sized
-/// to the largest interval assigned to it.
-struct SlabAssignment {
-  std::vector<std::size_t> color;       ///< per interval, index into slabs
-  std::vector<std::int64_t> slab_floats;  ///< per color, max floats needed
-};
-
-/// Greedy interval-graph coloring in def order: an interval reuses the
-/// lowest color whose previous occupant's last_use is strictly before this
-/// def, else opens a new color. For a straight chain this yields the
-/// classic 2-slab ping-pong regardless of depth.
-[[nodiscard]] SlabAssignment color_intervals(
-    std::span<const LifeInterval> intervals);
 
 /// Assembles the write-back epilogue for a conv-rooted group: conv bias
 /// (per C row = output channel), optional inference-mode BN (caller

@@ -42,10 +42,22 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
   const Shape out_shape = output_shape(input.shape());
   cached_input_shape_ = input.shape();
   Tensor out(out_shape);
-  // resize, not assign: every slot is overwritten below, so the zero-fill
+  // resize, not assign: the scan overwrites every slot, so the zero-fill
   // pass would be a wasted sweep over the whole index buffer.
   argmax_.resize(static_cast<std::size_t>(out.numel()));
+  scan(input, out, argmax_.data());
+  return out;
+}
 
+Tensor MaxPool2d::infer(const Tensor& input) {
+  Tensor out(output_shape(input.shape()));
+  scan(input, out, nullptr);
+  return out;
+}
+
+void MaxPool2d::scan(const Tensor& input, Tensor& out,
+                     std::int64_t* argmax) const {
+  const Shape& out_shape = out.shape();
   const std::int64_t batch = input.shape().dim(0), ch = input.shape().dim(1);
   const std::int64_t ih = input.shape().dim(2), iw = input.shape().dim(3);
   const std::int64_t oh = out_shape.dim(2), ow = out_shape.dim(3);
@@ -78,48 +90,12 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
             }
           }
           od[o] = best;
-          argmax_[o] = best_idx;
+          if (argmax != nullptr) argmax[o] = best_idx;
           ++o;
         }
       }
     }
   });
-  return out;
-}
-
-Tensor MaxPool2d::infer(const Tensor& input) {
-  // forward() minus the argmax bookkeeping; the max scan is identical
-  // (strict > keeps the first maximum), so outputs match bitwise.
-  const Shape out_shape = output_shape(input.shape());
-  Tensor out(out_shape);
-  const std::int64_t batch = input.shape().dim(0), ch = input.shape().dim(1);
-  const std::int64_t ih = input.shape().dim(2), iw = input.shape().dim(3);
-  const std::int64_t oh = out_shape.dim(2), ow = out_shape.dim(3);
-  auto id = input.data();
-  auto od = out.data();
-  parallel_for(0, batch * ch, plane_grain(oh * ow * window_ * window_),
-               [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t bc = p0; bc < p1; ++bc) {
-      const float* plane = id.data() + bc * ih * iw;
-      std::size_t o = static_cast<std::size_t>(bc * oh * ow);
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t wy = 0; wy < window_; ++wy) {
-            const std::int64_t iy = y * stride_ + wy;
-            for (std::int64_t wx = 0; wx < window_; ++wx) {
-              const std::int64_t ix = x * stride_ + wx;
-              const float v = plane[iy * iw + ix];
-              if (v > best) best = v;
-            }
-          }
-          od[o] = best;
-          ++o;
-        }
-      }
-    }
-  });
-  return out;
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {

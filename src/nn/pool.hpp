@@ -14,12 +14,17 @@ class MaxPool2d final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
-  /// Same window max, without recording argmax indices.
+  /// The same window-max scan as forward(), without recording argmax.
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
+  /// The window max behind forward() and infer(), written into `out`;
+  /// strict > keeps the first maximum. Records each output's flat input
+  /// index in `argmax` unless it is null.
+  void scan(const Tensor& input, Tensor& out, std::int64_t* argmax) const;
+
   std::int64_t window_;
   std::int64_t stride_;
   Shape cached_input_shape_;

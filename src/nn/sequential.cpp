@@ -219,23 +219,16 @@ Tensor Sequential::infer_fused_run(const Tensor& input, std::size_t g0,
   }
   Tensor out(shapes.back());
   ws::WorkspaceScope scope;
-  // Chained intermediates (every group output but the last, which writes
-  // the result Tensor): value i is defined by group i and last read by
-  // group i+1 — closed intervals, colored onto reusable slabs. A straight
-  // chain ping-pongs between two slabs regardless of depth.
-  std::vector<LifeInterval> intervals;
-  intervals.reserve(r > 0 ? r - 1 : 0);
+  // Every group output but the last (which writes the result Tensor) goes
+  // to slab i % 2: group i reads the slab group i-1 wrote and overwrites the
+  // one group i-2 wrote, which nothing reads any more. Two slabs, each sized
+  // to the largest output it holds, serve a chain of any depth.
+  std::int64_t slab_floats[2] = {0, 0};
   for (std::size_t i = 0; i + 1 < r; ++i) {
-    intervals.push_back({static_cast<std::int64_t>(i),
-                         static_cast<std::int64_t>(i) + 1,
-                         shapes[i].numel()});
+    slab_floats[i % 2] = std::max(slab_floats[i % 2], shapes[i].numel());
   }
-  const SlabAssignment assignment = color_intervals(intervals);
-  std::vector<std::span<float>> slabs;
-  slabs.reserve(assignment.slab_floats.size());
-  for (std::int64_t f : assignment.slab_floats) {
-    slabs.push_back(scope.floats(f));
-  }
+  const std::span<float> slabs[2] = {scope.floats(slab_floats[0]),
+                                     scope.floats(slab_floats[1])};
   std::span<const float> cur = input.data();
   Shape cur_shape = input.shape();
   for (std::size_t i = 0; i < r; ++i) {
@@ -243,8 +236,7 @@ Tensor Sequential::infer_fused_run(const Tensor& input, std::size_t g0,
     std::span<float> dst =
         (i + 1 == r)
             ? out.data()
-            : slabs[assignment.color[i]].first(
-                  static_cast<std::size_t>(shapes[i].numel()));
+            : slabs[i % 2].first(static_cast<std::size_t>(shapes[i].numel()));
     if (g.conv != nullptr) {
       std::span<float> inv_std =
           (g.bn != nullptr) ? scope.floats(g.bn->channels())

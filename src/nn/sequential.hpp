@@ -35,7 +35,7 @@ class Sequential final : public Layer {
   /// of backward().
   void backward_params(const Tensor& grad_output) override;
   /// Plan-driven inference: fused groups (including inference-mode BN)
-  /// chain through lifetime-colored workspace slabs; with the planner off,
+  /// ping-pong between two workspace slabs; with the planner off,
   /// every group runs its layers' infer(). Outputs are bitwise identical
   /// either way, and no layer's backward cache is touched.
   Tensor infer(const Tensor& input) override;
@@ -77,8 +77,8 @@ class Sequential final : public Layer {
   /// gradient, layers below `first_param_layer_` are skipped and that layer
   /// runs backward_params().
   Tensor backward_to(const Tensor& grad_output, bool input_grad);
-  /// Chains fused groups [g0, g1) of the plan through lifetime-colored
-  /// arena slabs (inference only — no caches survive).
+  /// Chains fused groups [g0, g1) of the plan through two arena slabs,
+  /// group i writing slab i % 2 (inference only — no caches survive).
   Tensor infer_fused_run(const Tensor& input, std::size_t g0, std::size_t g1);
 
   std::vector<LayerPtr> layers_;

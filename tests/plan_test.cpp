@@ -1,6 +1,6 @@
 // Execution-planner tests: chain recognition, fusion legality (training BN
-// must NOT fuse), the lifetime interval coloring (no two overlapping
-// intervals may share a slab), and — the load-bearing contract — bitwise
+// must NOT fuse), the two-slab ping-pong of fused inference (flat peak in
+// depth, no live slab aliased), and — the load-bearing contract — bitwise
 // equality of fused and unfused execution across thread counts. Run twice
 // by ctest: once with the dispatched ISA and once pinned to the base
 // micro-kernel (plan_test_base_isa), mirroring gemm_test.
@@ -131,53 +131,6 @@ TEST(PlanBuild, StructuralEditInvalidatesPlan) {
   ASSERT_EQ(tail.plan().groups().size(), 1U);
 }
 
-TEST(PlanColoring, StraightChainPingPongsBetweenTwoSlabs) {
-  // A depth-N chain of intermediates [i, i+1] needs exactly 2 slabs no
-  // matter how deep — the heart of the depth-flat memory claim.
-  std::vector<LifeInterval> chain;
-  for (std::int64_t i = 0; i < 16; ++i) {
-    chain.push_back({i, i + 1, 100 + i});
-  }
-  const SlabAssignment sa = color_intervals(chain);
-  ASSERT_EQ(sa.color.size(), chain.size());
-  EXPECT_EQ(sa.slab_floats.size(), 2U);
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    EXPECT_EQ(sa.color[i], i % 2) << "interval " << i;
-  }
-  // Each slab is sized to its largest occupant.
-  EXPECT_EQ(sa.slab_floats[0], 100 + 14);
-  EXPECT_EQ(sa.slab_floats[1], 100 + 15);
-}
-
-TEST(PlanColoring, OverlappingIntervalsNeverShareASlab) {
-  // Closed-interval semantics: [i, i+1] and [i+1, i+2] DO conflict (both
-  // live while group i+1 runs). Sweep a mix of short and long lifetimes and
-  // assert the invariant pairwise — an aliasing bug here silently corrupts
-  // activations, so this is the safety net for any future coloring change.
-  const std::vector<LifeInterval> ivs = {
-      {0, 1, 10}, {1, 2, 20}, {1, 5, 30}, {2, 3, 40},
-      {3, 4, 50}, {4, 6, 60}, {6, 7, 70},
-  };
-  const SlabAssignment sa = color_intervals(ivs);
-  ASSERT_EQ(sa.color.size(), ivs.size());
-  for (std::size_t i = 0; i < ivs.size(); ++i) {
-    for (std::size_t j = i + 1; j < ivs.size(); ++j) {
-      const bool overlap = ivs[i].def <= ivs[j].last_use &&
-                           ivs[j].def <= ivs[i].last_use;
-      if (overlap) {
-        EXPECT_NE(sa.color[i], sa.color[j])
-            << "intervals " << i << " and " << j << " overlap but share slab "
-            << sa.color[i];
-      }
-    }
-    // Slab must be large enough for every occupant.
-    EXPECT_GE(sa.slab_floats[sa.color[i]], ivs[i].floats);
-  }
-  // The long-lived [1,5] interval forces a third slab while [2,3]/[3,4]
-  // run; the greedy coloring must not need more than that.
-  EXPECT_EQ(sa.slab_floats.size(), 3U);
-}
-
 TEST(PlanTraining, TrainingBnStaysUnfused) {
   // Training-mode BN needs batch statistics of the conv output — fusing it
   // would compute statistics of a tensor that no longer exists. The planned
@@ -303,6 +256,36 @@ TEST(PlanInfer, InferMatchesEvalForwardBitwise) {
   }
 }
 
+TEST(PlanInfer, DeepFusedRunMatchesEvalForward) {
+  // One run of six fused groups, so both slabs are reused: group i reads
+  // the slab group i-1 wrote while it overwrites the other. Widths change
+  // at every group, so each slab must fit the largest output it holds. Any
+  // aliasing of the two live slabs, or a slab too small, changes the bits.
+  PlannerGuard guard;
+  Rng rng(73);
+  Sequential seq;
+  const std::int64_t widths[] = {3, 8, 4, 10, 2, 6, 5};
+  for (std::size_t i = 0; i + 1 < std::size(widths); ++i) {
+    seq.emplace<Conv2d>(widths[i], widths[i + 1], 3, 1, 1, rng);
+    if (i % 2 == 0) seq.emplace<BatchNorm2d>(widths[i + 1]);
+    seq.emplace<ReLU>();
+  }
+  ASSERT_EQ(seq.plan().groups().size(), 6U);
+  const Shape in_shape({2, 3, 6, 6});
+  warm_up(seq, in_shape);
+
+  const Tensor x = random_input(in_shape, 79);
+  for (const int threads : {1, 3}) {
+    set_global_threads(threads);
+    set_planner_enabled(false);
+    const Tensor ref = seq.forward(x, /*training=*/false);
+    set_planner_enabled(true);
+    const Tensor fused = seq.infer(x);
+    EXPECT_TRUE(bitwise_equal(fused.data(), ref.data()))
+        << "threads=" << threads;
+  }
+}
+
 TEST(PlanInfer, ResidualInferMatchesForwardBitwise) {
   // Both residual variants: identity skip and 1x1 projection skip. The
   // fused join must reproduce ops::add + in-place ReLU exactly, and so must
@@ -340,10 +323,10 @@ TEST(PlanInfer, ResidualInferMatchesForwardBitwise) {
 }
 
 TEST(PlanInfer, PeakWorkspaceIsFlatInDepth) {
-  // The pass-2 claim: chained fused groups ping-pong between 2 lifetime-
-  // colored slabs, so the peak arena footprint of an inference step must
-  // not grow with chain depth. Measured with the step-peak watermark the
-  // planner reports through `splitmed_workspace_step_peak_bytes`.
+  // The pass-2 claim: chained fused groups ping-pong between 2 slabs, so
+  // the peak arena footprint of an inference step must not grow with chain
+  // depth. Measured with the step-peak watermark the planner reports
+  // through `splitmed_workspace_step_peak_bytes`.
   PlannerGuard guard;
   set_global_threads(1);
   set_planner_enabled(true);
@@ -362,7 +345,7 @@ TEST(PlanInfer, PeakWorkspaceIsFlatInDepth) {
     return ws::global_step_peak_bytes();
   };
   // Depth 2 has a single chained intermediate (1 slab); from depth 4 on the
-  // coloring ping-pongs between exactly 2 slabs, so the footprint must stop
+  // chain ping-pongs between exactly 2 slabs, so the footprint must stop
   // moving: depth 16 holds the same 2 slabs + per-conv scratch as depth 4.
   const std::size_t p4 = peak_at_depth(4);
   const std::size_t p16 = peak_at_depth(16);
