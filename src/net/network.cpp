@@ -189,6 +189,13 @@ bool frame_before(double arrival_a, std::uint64_t seq_a, double arrival_b,
   return arrival_a != arrival_b ? arrival_a < arrival_b : seq_a < seq_b;
 }
 
+/// The inbox heaps' comparator: std::make_heap/push_heap/pop_heap keep a
+/// max-heap under their comparator, so inverting frame_before puts the
+/// (arrival, sequence) minimum at the front.
+constexpr auto arrives_later = [](const auto& a, const auto& b) {
+  return frame_before(b.arrival, b.sequence, a.arrival, a.sequence);
+};
+
 }  // namespace
 
 NodeId Network::add_node(std::string name) {
@@ -309,54 +316,24 @@ void Network::index_sift_down(std::size_t i) {
 void Network::inbox_push(InFlight frame) {
   const NodeId node = frame.envelope.dst;
   auto& box = inbox_[node];
-  // Standard binary-heap insertion: append, then sift the new frame up.
   box.push_back(std::move(frame));
-  std::size_t i = box.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!frame_before(box[i].arrival, box[i].sequence, box[parent].arrival,
-                      box[parent].sequence)) {
-      break;
-    }
-    std::swap(box[i], box[parent]);
-    i = parent;
-  }
+  std::push_heap(box.begin(), box.end(), arrives_later);
   ++in_flight_count_;
   if (index_pos_[node] == kNotIndexed) {
     index_heap_.push_back(node);
     index_pos_[node] = index_heap_.size() - 1;
-    index_sift_up(index_pos_[node]);
-  } else if (i == 0) {
-    // The new frame became this inbox's head — the node's key decreased.
-    index_sift_up(index_pos_[node]);
   }
+  // A push can only move the inbox head earlier — the node's key decreases
+  // or stays — so sifting the node up restores the index.
+  index_sift_up(index_pos_[node]);
 }
 
 Network::InFlight Network::inbox_pop(NodeId node) {
   auto& box = inbox_[node];
   SPLITMED_ASSERT(!box.empty(), "inbox_pop on an empty inbox");
-  InFlight out = std::move(box.front());
-  box.front() = std::move(box.back());
+  std::pop_heap(box.begin(), box.end(), arrives_later);
+  InFlight out = std::move(box.back());
   box.pop_back();
-  // Sift the relocated tail element down to restore the heap.
-  std::size_t i = 0;
-  const std::size_t n = box.size();
-  while (true) {
-    const std::size_t left = 2 * i + 1;
-    if (left >= n) break;
-    std::size_t best = left;
-    const std::size_t right = left + 1;
-    if (right < n && frame_before(box[right].arrival, box[right].sequence,
-                                  box[left].arrival, box[left].sequence)) {
-      best = right;
-    }
-    if (!frame_before(box[best].arrival, box[best].sequence, box[i].arrival,
-                      box[i].sequence)) {
-      break;
-    }
-    std::swap(box[i], box[best]);
-    i = best;
-  }
   --in_flight_count_;
   const std::size_t pos = index_pos_[node];
   if (box.empty()) {
@@ -386,13 +363,7 @@ void Network::index_rebuild() {
     auto& box = inbox_[node];
     if (box.empty()) continue;
     in_flight_count_ += box.size();
-    std::make_heap(box.begin(), box.end(),
-                   [](const InFlight& a, const InFlight& b) {
-                     // std::make_heap builds a max-heap under its comparator,
-                     // so invert to get the (arrival, sequence) min at front.
-                     return frame_before(b.arrival, b.sequence, a.arrival,
-                                         a.sequence);
-                   });
+    std::make_heap(box.begin(), box.end(), arrives_later);
     index_heap_.push_back(node);
     index_pos_[node] = index_heap_.size() - 1;
     index_sift_up(index_pos_[node]);
@@ -499,51 +470,19 @@ void Network::send(Envelope envelope) {
 }
 
 Envelope Network::receive(NodeId node) {
-  check_node(node);
-  while (true) {
-    if (inbox_[node].empty()) {
-      const std::string reason = "receive on node '" + nodes_[node] +
-                                 "' with no message in flight";
-      obs::postmortem(reason);
-      throw ProtocolError(reason);
-    }
-    obs::CriticalPathAnalyzer* cp = obs::attribution();
-    const double before = cp != nullptr ? clock_.now() : 0.0;
-    InFlight f = inbox_pop(node);
-    clock_.advance_to(f.arrival);
-    Envelope out = std::move(f.envelope);
-    if (!faults_enabled_ || intact(out)) {
-      if (cp != nullptr) {
-        obs_wait(cp, before, clock_.now(), out, /*corrupt_discarded=*/false);
-      }
-      obs_deliver(nodes_, out, clock_.now(), /*corrupt_discarded=*/false);
-      return out;
-    }
-    stats_.record_corrupted(bytes_on_wire(out));
-    if (cp != nullptr) {
-      obs_wait(cp, before, clock_.now(), out, /*corrupt_discarded=*/true);
-    }
-    obs_deliver(nodes_, out, clock_.now(), /*corrupt_discarded=*/true);
+  std::optional<Envelope> out =
+      receive_before(node, std::numeric_limits<double>::infinity());
+  if (!out) {
+    const std::string reason = "receive on node '" + nodes_[node] +
+                               "' with no message in flight";
+    obs::postmortem(reason);
+    throw ProtocolError(reason);
   }
+  return std::move(*out);
 }
 
 std::optional<Envelope> Network::try_receive(NodeId node) {
-  check_node(node);
-  while (true) {
-    const auto& box = inbox_[node];
-    if (box.empty() || box.front().arrival > clock_.now()) {
-      return std::nullopt;
-    }
-    InFlight f = inbox_pop(node);
-    const double arrived = f.arrival;
-    Envelope out = std::move(f.envelope);
-    if (!faults_enabled_ || intact(out)) {
-      obs_deliver(nodes_, out, arrived, /*corrupt_discarded=*/false);
-      return out;
-    }
-    stats_.record_corrupted(bytes_on_wire(out));
-    obs_deliver(nodes_, out, arrived, /*corrupt_discarded=*/true);
-  }
+  return receive_before(node, clock_.now());
 }
 
 std::optional<Envelope> Network::receive_before(NodeId node, double deadline) {

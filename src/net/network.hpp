@@ -81,13 +81,13 @@ class Network {
   void send(Envelope envelope);
 
   /// Receives the earliest message addressed to `node`, advancing the clock
-  /// to its arrival time. Throws ProtocolError if none is in flight —
-  /// in a synchronous protocol that is always a bug. Corrupted frames are
-  /// counted, discarded, and skipped.
+  /// to its arrival time: receive_before with no deadline. Throws
+  /// ProtocolError if none is in flight — in a synchronous protocol that is
+  /// always a bug. Corrupted frames are counted, discarded, and skipped.
   Envelope receive(NodeId node);
 
-  /// Receives only if a message for `node` has already arrived (clock not
-  /// advanced). Used by tests.
+  /// Receives only if a message for `node` has already arrived:
+  /// receive_before(node, now), so the clock does not move. Used by tests.
   std::optional<Envelope> try_receive(NodeId node);
 
   /// Receives the earliest intact message for `node` arriving at or before
