@@ -1,8 +1,8 @@
 #include "src/privacy/reconstruction.hpp"
 
-#include <cmath>
-
 #include "src/common/error.hpp"
+#include "src/nn/parameter.hpp"
+#include "src/optim/adam.hpp"
 #include "src/tensor/ops.hpp"
 
 namespace splitmed::privacy {
@@ -13,14 +13,16 @@ ReconstructionResult reconstruct_from_observation(
   SPLITMED_CHECK(options.iterations > 0 && options.learning_rate > 0.0F,
                  "bad reconstruction options");
   Rng rng(options.seed);
-  Tensor x = Tensor::normal(true_x.shape(), rng, 0.5F, 0.25F);
-  // Adam state over the pixel tensor.
-  Tensor m(x.shape()), v(x.shape());
-  const float beta1 = 0.9F, beta2 = 0.999F, eps = 1e-8F;
+  // The attacker's Adam runs on the input pixels, not on L1's parameters.
+  nn::Parameter pixels("reconstruction.x",
+                       Tensor::normal(true_x.shape(), rng, 0.5F, 0.25F));
+  optim::AdamOptions adam_options;
+  adam_options.learning_rate = options.learning_rate;
+  optim::Adam adam({&pixels}, adam_options);
 
   float last_loss = 0.0F;
-  for (std::int64_t it = 1; it <= options.iterations; ++it) {
-    const Tensor a = l1.forward(x, /*training=*/false);
+  for (std::int64_t it = 0; it < options.iterations; ++it) {
+    const Tensor a = l1.forward(pixels.value, /*training=*/false);
     check_same_shape(a.shape(), observed_activation.shape(),
                      "reconstruct_from_observation");
     const Tensor diff = ops::sub(a, observed_activation);
@@ -28,28 +30,16 @@ ReconstructionResult reconstruct_from_observation(
     // d/da of mean squared error.
     const Tensor grad_a =
         ops::scale(diff, 2.0F / static_cast<float>(a.numel()));
-    const Tensor grad_x = l1.backward(grad_a);
-
-    const float bc1 = 1.0F - std::pow(beta1, static_cast<float>(it));
-    const float bc2 = 1.0F - std::pow(beta2, static_cast<float>(it));
-    const float lr = options.learning_rate * std::sqrt(bc2) / bc1;
-    auto xd = x.data();
-    auto gd = grad_x.data();
-    auto md = m.data();
-    auto vd = v.data();
-    for (std::size_t i = 0; i < xd.size(); ++i) {
-      md[i] = beta1 * md[i] + (1.0F - beta1) * gd[i];
-      vd[i] = beta2 * vd[i] + (1.0F - beta2) * gd[i] * gd[i];
-      xd[i] -= lr * md[i] / (std::sqrt(vd[i]) + eps);
-    }
+    pixels.grad = l1.backward(grad_a);
+    adam.step();
   }
   // The attack must not corrupt L1's training state.
   l1.zero_grad();
 
   ReconstructionResult result;
   result.activation_mse = last_loss;
-  result.input_mse = ops::mse(x, true_x);
-  result.reconstruction = std::move(x);
+  result.input_mse = ops::mse(pixels.value, true_x);
+  result.reconstruction = std::move(pixels.value);
   return result;
 }
 
