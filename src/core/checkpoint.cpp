@@ -53,6 +53,14 @@ metrics::TrainReport decode_report(BufferReader& r) {
   report.protocol = r.read_string();
   report.model = r.read_string();
   const std::uint32_t points = r.read_u32();
+  // Six 8-byte fields per point: a count the section cannot hold would
+  // otherwise size the reserve below (0xFFFFFFFF points is 206 GB).
+  constexpr std::size_t kPointBytes = 48;
+  if (points > r.remaining() / kPointBytes) {
+    throw SerializationError("checkpoint manifest 'report' section: " +
+                             std::to_string(points) + " curve points in " +
+                             std::to_string(r.remaining()) + " bytes");
+  }
   report.curve.reserve(points);
   for (std::uint32_t i = 0; i < points; ++i) {
     metrics::CurvePoint p;
@@ -331,12 +339,15 @@ void SplitTrainer::load_checkpoint(const std::string& round_dir) {
                     static_cast<std::uint32_t>(k), round, seed);
   }
 
+  // The report is decoded before any state is applied, so a hostile one
+  // leaves the network untouched.
+  BufferReader report_reader = manifest.reader("report");
+  metrics::TrainReport report = decode_report(report_reader);
+  require_exhausted(report_reader, "checkpoint manifest 'report' section");
   BufferReader network = manifest.reader("network");
   network_.load_state(network);
   require_exhausted(network, "checkpoint manifest 'network' section");
-  BufferReader report = manifest.reader("report");
-  report_ = decode_report(report);
-  require_exhausted(report, "checkpoint manifest 'report' section");
+  report_ = std::move(report);
   if (membership_) {
     if (!manifest.has("membership")) {
       throw SerializationError(

@@ -22,6 +22,8 @@
 #include "src/core/trainer.hpp"
 #include "src/data/synthetic_cifar.hpp"
 #include "src/models/factory.hpp"
+#include "src/serial/buffer.hpp"
+#include "src/serial/section_file.hpp"
 
 namespace splitmed {
 namespace {
@@ -266,6 +268,48 @@ TEST(CrashResume, MismatchedRoundPeerIsRefused) {
                              ds.test, cfg);
   EXPECT_THROW(trainer.load_checkpoint(round10.string()), ProtocolError);
   EXPECT_EQ(trainer.next_round(), 1U);
+  fs::remove_all(dir);
+}
+
+TEST(CrashResume, HostileReportCurveCountIsRefused) {
+  const std::string dir = fresh_dir("crash_resume_hostile_report");
+  {
+    auto cfg = base_config();
+    cfg.rounds = 5;
+    cfg.checkpoint_every = 5;
+    cfg.checkpoint_dir = dir;
+    (void)run_once(cfg);
+  }
+  const fs::path round5 = fs::path(dir) / core::checkpoint_round_dirname(5);
+  const std::string manifest_path = (round5 / core::kManifestFile).string();
+
+  // Re-publish the manifest, CRCs valid, with a 'report' section whose
+  // curve-point count (the u32 after the protocol and model strings)
+  // claims 0xFFFFFFFF points — far more than the section's bytes can hold.
+  const SectionFileReader manifest =
+      SectionFileReader::read_file(manifest_path);
+  SectionFileWriter forged;
+  for (const Section& section : manifest.sections()) {
+    std::vector<std::uint8_t> payload = section.payload;
+    if (section.name == "report") {
+      BufferReader r(payload);
+      (void)r.read_string();
+      (void)r.read_string();
+      for (std::size_t i = 0; i < 4; ++i) payload[r.pos() + i] = 0xFF;
+    }
+    forged.add(section.name, std::move(payload));
+  }
+  forged.write_file(manifest_path);
+
+  const Datasets ds = make_datasets();
+  auto cfg = base_config();
+  core::SplitTrainer trainer(builder(), ds.train, make_partition(ds.train),
+                             ds.test, cfg);
+  const double clock_before = trainer.network().clock().now();
+  EXPECT_THROW(trainer.load_checkpoint(round5.string()), SerializationError);
+  // Refused before any state was applied.
+  EXPECT_EQ(trainer.next_round(), 1U);
+  EXPECT_EQ(trainer.network().clock().now(), clock_before);
   fs::remove_all(dir);
 }
 
