@@ -18,6 +18,58 @@ std::int64_t plane_grain(std::int64_t per_plane_cost) {
       1, kParallelElems / std::max<std::int64_t>(per_plane_cost, 1));
 }
 
+/// Window maxima of one input plane, whose flat input indices start at
+/// `plane_base`; strict > keeps the first maximum. Records each window's
+/// argmax unless `argmax` is null. The scalars arrive by value, so the
+/// argmax stores cannot alias them and force reloads inside the loops.
+void max_pool_plane(const float* plane, std::int64_t plane_base,
+                    std::int64_t iw, std::int64_t oh, std::int64_t ow,
+                    std::int64_t window, std::int64_t stride, float* out,
+                    std::int64_t* argmax) {
+  for (std::int64_t y = 0; y < oh; ++y) {
+    for (std::int64_t x = 0; x < ow; ++x) {
+      float best = -std::numeric_limits<float>::infinity();
+      // Seeded with the window's first element, so a window with no element
+      // above -inf (all NaN or all -inf) routes its gradient inside its own
+      // plane.
+      std::int64_t best_idx = plane_base + (y * stride) * iw + x * stride;
+      for (std::int64_t wy = 0; wy < window; ++wy) {
+        const std::int64_t iy = y * stride + wy;
+        for (std::int64_t wx = 0; wx < window; ++wx) {
+          const std::int64_t ix = x * stride + wx;
+          const float v = plane[iy * iw + ix];
+          if (v > best) {
+            best = v;
+            best_idx = plane_base + iy * iw + ix;
+          }
+        }
+      }
+      *out++ = best;
+      if (argmax != nullptr) *argmax++ = best_idx;
+    }
+  }
+}
+
+/// The window-max scan of MaxPool2d::forward, which records the argmax
+/// indices backward routes through, and of MaxPool2d::infer (argmax null).
+void max_pool(const Tensor& input, Tensor& out, std::int64_t window,
+              std::int64_t stride, std::int64_t* argmax) {
+  const std::int64_t planes = input.shape().dim(0) * input.shape().dim(1);
+  const std::int64_t ih = input.shape().dim(2), iw = input.shape().dim(3);
+  const std::int64_t oh = out.shape().dim(2), ow = out.shape().dim(3);
+  const float* id = input.data().data();
+  float* od = out.data().data();
+  // Each (batch, channel) plane reads and writes its own slices only.
+  parallel_for(0, planes, plane_grain(oh * ow * window * window),
+               [&](std::int64_t p0, std::int64_t p1) {
+    for (std::int64_t p = p0; p < p1; ++p) {
+      max_pool_plane(id + p * ih * iw, p * ih * iw, iw, oh, ow, window,
+                     stride, od + p * oh * ow,
+                     argmax == nullptr ? nullptr : argmax + p * oh * ow);
+    }
+  });
+}
+
 }  // namespace
 
 MaxPool2d::MaxPool2d(std::int64_t window, std::int64_t stride)
@@ -42,60 +94,17 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
   const Shape out_shape = output_shape(input.shape());
   cached_input_shape_ = input.shape();
   Tensor out(out_shape);
-  // resize, not assign: the scan overwrites every slot, so the zero-fill
+  // resize, not assign: max_pool overwrites every slot, so the zero-fill
   // pass would be a wasted sweep over the whole index buffer.
   argmax_.resize(static_cast<std::size_t>(out.numel()));
-  scan(input, out, argmax_.data());
+  max_pool(input, out, window_, stride_, argmax_.data());
   return out;
 }
 
 Tensor MaxPool2d::infer(const Tensor& input) {
   Tensor out(output_shape(input.shape()));
-  scan(input, out, nullptr);
+  max_pool(input, out, window_, stride_, nullptr);
   return out;
-}
-
-void MaxPool2d::scan(const Tensor& input, Tensor& out,
-                     std::int64_t* argmax) const {
-  const Shape& out_shape = out.shape();
-  const std::int64_t batch = input.shape().dim(0), ch = input.shape().dim(1);
-  const std::int64_t ih = input.shape().dim(2), iw = input.shape().dim(3);
-  const std::int64_t oh = out_shape.dim(2), ow = out_shape.dim(3);
-  auto id = input.data();
-  auto od = out.data();
-  // Each (batch, channel) plane reads and writes its own slices only.
-  parallel_for(0, batch * ch, plane_grain(oh * ow * window_ * window_),
-               [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t bc = p0; bc < p1; ++bc) {
-      const float* plane = id.data() + bc * ih * iw;
-      const std::int64_t plane_base = bc * ih * iw;
-      std::size_t o = static_cast<std::size_t>(bc * oh * ow);
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x) {
-          float best = -std::numeric_limits<float>::infinity();
-          // Seeded with the window's first element, so a window with no
-          // element above -inf (all NaN or all -inf) routes its gradient
-          // inside its own plane.
-          std::int64_t best_idx =
-              plane_base + (y * stride_) * iw + x * stride_;
-          for (std::int64_t wy = 0; wy < window_; ++wy) {
-            const std::int64_t iy = y * stride_ + wy;
-            for (std::int64_t wx = 0; wx < window_; ++wx) {
-              const std::int64_t ix = x * stride_ + wx;
-              const float v = plane[iy * iw + ix];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + iy * iw + ix;
-              }
-            }
-          }
-          od[o] = best;
-          if (argmax != nullptr) argmax[o] = best_idx;
-          ++o;
-        }
-      }
-    }
-  });
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {

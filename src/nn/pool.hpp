@@ -20,11 +20,6 @@ class MaxPool2d final : public Layer {
   [[nodiscard]] std::string name() const override;
 
  private:
-  /// The window max behind forward() and infer(), written into `out`;
-  /// strict > keeps the first maximum. Records each output's flat input
-  /// index in `argmax` unless it is null.
-  void scan(const Tensor& input, Tensor& out, std::int64_t* argmax) const;
-
   std::int64_t window_;
   std::int64_t stride_;
   Shape cached_input_shape_;
