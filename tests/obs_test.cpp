@@ -658,7 +658,7 @@ TEST(CriticalPath, FaultedWaitsAndTimeoutsAreRetransmitOverhead) {
   cp.note_timeout_wait(4.0, 6.0, 2);  // recovery timeout on platform 2
   cp.close_round(4, 6.0);
 
-  const auto& r = cp.records().back();
+  const auto r = cp.records().back();  // a copy: records() returns by value
   EXPECT_DOUBLE_EQ(r.segments[CP::kRetransmit], 6.0);
   EXPECT_DOUBLE_EQ(r.segments[CP::kDeadlineSlack], 0.0);
   ASSERT_TRUE(r.has_straggler);
@@ -687,7 +687,7 @@ TEST(CriticalPath, StragglerTiesBreakToTheLowerNodeId) {
   cp.observe_wait(wait);
   cp.close_round(1, 4.0);
 
-  const auto& r = cp.records().back();
+  const auto r = cp.records().back();  // a copy: records() returns by value
   ASSERT_TRUE(r.has_straggler);
   EXPECT_EQ(r.straggler_node, 1U);
   EXPECT_DOUBLE_EQ(r.straggler_seconds, 2.0);
