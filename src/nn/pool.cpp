@@ -102,7 +102,11 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor MaxPool2d::infer(const Tensor& input) {
-  Tensor out(output_shape(input.shape()));
+  // A named Shape, as in forward(): constructing `out` from a temporary
+  // one shifts the heap layout enough to raise fig4_vgg's peak RSS by
+  // about 0.5 MB (glibc malloc), with live memory unchanged.
+  const Shape out_shape = output_shape(input.shape());
+  Tensor out(out_shape);
   max_pool(input, out, window_, stride_, nullptr);
   return out;
 }
