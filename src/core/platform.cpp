@@ -1,10 +1,10 @@
 #include "src/core/platform.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "src/common/error.hpp"
 #include "src/nn/checkpoint.hpp"
+#include "src/nn/param_util.hpp"
 #include "src/obs/obs.hpp"
 #include "src/serial/state_codec.hpp"
 
@@ -174,30 +174,19 @@ void PlatformNode::handle(net::Network& network, const Envelope& envelope) {
     if (msg.has_l1) {
       // Cold rejoin: local training state was lost with the crash. Overwrite
       // L1 with the server-held genesis weights and drop momentum — it was
-      // accumulated against a trajectory that no longer exists.
-      std::span<const float> flat = msg.l1.data();
-      std::size_t off = 0;
-      for (nn::Parameter* p : l1_.parameters()) {
-        auto dst = p->value.data();
-        if (off + dst.size() > flat.size()) {
-          const std::string reason =
-              "platform " + std::to_string(id_) +
-              ": genesis L1 payload too small for the local model";
-          obs::postmortem(reason);
-          throw ProtocolError(reason);
-        }
-        std::copy_n(flat.begin() + static_cast<std::ptrdiff_t>(off),
-                    dst.size(), dst.begin());
-        off += dst.size();
-      }
-      if (off != flat.size()) {
+      // accumulated against a trajectory that no longer exists. The size is
+      // checked before any value is written.
+      const auto params = l1_.parameters();
+      const std::int64_t numel = nn::parameter_numel(params);
+      if (msg.l1.shape() != Shape{numel}) {
         const std::string reason =
-            "platform " + std::to_string(id_) + ": genesis L1 payload has " +
-            std::to_string(flat.size()) + " values, local model takes " +
-            std::to_string(off);
+            "platform " + std::to_string(id_) + ": genesis L1 payload " +
+            msg.l1.shape().str() + " does not match the local model's " +
+            std::to_string(numel) + " values";
         obs::postmortem(reason);
         throw ProtocolError(reason);
       }
+      nn::load_values(params, msg.l1);
       opt_.reset_state();
     }
     awaiting_join_ = false;

@@ -310,6 +310,56 @@ TEST(ColdRejoin, GenesisL1IsRestoredBitwise) {
   }
 }
 
+TEST(ColdRejoin, MisSizedGenesisLeavesL1Untouched) {
+  // A genesis payload one value short, then one value long, is refused
+  // before any L1 value is written: the platform keeps its own weights and
+  // its rejoin does not complete.
+  for (const std::int64_t extra : {-1, 1}) {
+    SCOPED_TRACE("genesis off by " + std::to_string(extra));
+    const auto dataset = make_train(8);
+    net::Network network;
+    const NodeId server_id = network.add_node("server");
+    const NodeId platform_id = network.add_node("platform");
+    models::MlpConfig mcfg;
+    mcfg.input_shape = Shape{3, 8, 8};
+    mcfg.hidden = {8};
+    mcfg.num_classes = 4;
+    auto model = models::make_mlp(mcfg);
+    auto parts = core::split_at(std::move(model.net), model.default_cut);
+    core::CentralServer server(server_id, std::move(parts.server),
+                               optim::SgdOptions{});
+    core::PlatformNode platform(platform_id, server_id,
+                                std::move(parts.platform),
+                                data::DataLoader(dataset, {0, 1, 2, 3}, 2,
+                                                 Rng(1)),
+                                optim::SgdOptions{});
+    core::MembershipConfig mem;
+    mem.enabled = true;
+    core::MembershipService service(mem, core::ChurnPlan{}, 1, 7, {2});
+    server.set_membership(&service, {platform_id});
+    const Tensor before = nn::flatten_values(platform.l1().parameters());
+    server.set_genesis_l1(
+        Tensor::full(Shape{before.numel() + extra}, 7.0F));
+
+    platform.send_join_request(network, 0, 1, core::RejoinMode::kCold);
+    server.handle(network, network.receive(server_id));
+    EXPECT_THROW(platform.handle(network, network.receive(platform_id)),
+                 ProtocolError);
+    EXPECT_EQ(platform.rejoins_completed(), 0);
+
+    const Tensor after = nn::flatten_values(platform.l1().parameters());
+    ASSERT_EQ(after.numel(), before.numel());
+    std::int64_t overwritten = 0;
+    for (std::int64_t i = 0; i < after.numel(); ++i) {
+      if (after.data()[static_cast<std::size_t>(i)] !=
+          before.data()[static_cast<std::size_t>(i)]) {
+        ++overwritten;
+      }
+    }
+    EXPECT_EQ(overwritten, 0) << "of " << after.numel() << " L1 values";
+  }
+}
+
 // --- deadline rounds --------------------------------------------------------
 
 TEST(ChurnTraining, TightDeadlineDegradesToOneStepPerRound) {
