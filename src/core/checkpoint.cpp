@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -339,40 +340,69 @@ void SplitTrainer::load_checkpoint(const std::string& round_dir) {
                     static_cast<std::uint32_t>(k), round, seed);
   }
 
-  // The report is decoded before any state is applied, so a hostile one
-  // leaves the network untouched.
   BufferReader report_reader = manifest.reader("report");
   metrics::TrainReport report = decode_report(report_reader);
   require_exhausted(report_reader, "checkpoint manifest 'report' section");
-  BufferReader network = manifest.reader("network");
-  network_.load_state(network);
-  require_exhausted(network, "checkpoint manifest 'network' section");
-  report_ = std::move(report);
-  if (membership_) {
-    if (!manifest.has("membership")) {
-      throw SerializationError(
-          "checkpoint manifest: membership is enabled but the manifest has "
-          "no 'membership' section");
-    }
-    BufferReader membership = manifest.reader("membership");
-    membership_->load_state(membership);
-    require_exhausted(membership,
-                      "checkpoint manifest 'membership' section");
-  }
 
-  {
-    BufferReader state = server_file.reader("state");
-    server_->load_state(state);
-    require_exhausted(state, "server checkpoint 'state' section");
-  }
+  // The nodes write as they read, so the apply phase is all or nothing:
+  // everything it touches is kept first (the nodes through their own
+  // save_state) and put back if any section fails to apply, so a refused
+  // load leaves the trainer untouched.
+  const net::Network network_before = network_;
+  const metrics::TrainReport report_before = report_;
+  std::optional<MembershipService> membership_before;
+  if (membership_) membership_before = *membership_;
+  BufferWriter nodes_before;
+  server_->save_state(nodes_before);
+  std::vector<Rng> rngs_before;
   for (std::size_t k = 0; k < platforms_.size(); ++k) {
-    BufferReader state = platform_files[k].reader("state");
-    platforms_[k]->load_state(state);
-    require_exhausted(state,
-                      "platform " + std::to_string(k) + " 'state' section");
-    BufferReader rng = platform_files[k].reader("rng");
-    decode_rng(rng, *replica_rngs_[k]);
-    require_exhausted(rng, "platform " + std::to_string(k) + " 'rng' section");
+    platforms_[k]->save_state(nodes_before);
+    rngs_before.push_back(*replica_rngs_[k]);
+  }
+  try {
+    BufferReader network = manifest.reader("network");
+    network_.load_state(network);
+    require_exhausted(network, "checkpoint manifest 'network' section");
+    report_ = std::move(report);
+    if (membership_) {
+      if (!manifest.has("membership")) {
+        throw SerializationError(
+            "checkpoint manifest: membership is enabled but the manifest has "
+            "no 'membership' section");
+      }
+      BufferReader membership = manifest.reader("membership");
+      membership_->load_state(membership);
+      require_exhausted(membership,
+                        "checkpoint manifest 'membership' section");
+    }
+
+    {
+      BufferReader state = server_file.reader("state");
+      server_->load_state(state);
+      require_exhausted(state, "server checkpoint 'state' section");
+    }
+    for (std::size_t k = 0; k < platforms_.size(); ++k) {
+      BufferReader state = platform_files[k].reader("state");
+      platforms_[k]->load_state(state);
+      require_exhausted(state,
+                        "platform " + std::to_string(k) + " 'state' section");
+      BufferReader rng = platform_files[k].reader("rng");
+      decode_rng(rng, *replica_rngs_[k]);
+      require_exhausted(rng,
+                        "platform " + std::to_string(k) + " 'rng' section");
+    }
+  } catch (...) {
+    network_ = network_before;
+    report_ = report_before;
+    if (membership_) *membership_ = *membership_before;
+    const std::vector<std::uint8_t> saved = nodes_before.take();
+    BufferReader nodes(saved);
+    server_->load_state(nodes);
+    for (std::size_t k = 0; k < platforms_.size(); ++k) {
+      platforms_[k]->load_state(nodes);
+      *replica_rngs_[k] = rngs_before[k];
+    }
+    throw;
   }
 
   participation_rng_ = participation_rng;

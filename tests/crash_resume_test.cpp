@@ -313,6 +313,46 @@ TEST(CrashResume, HostileReportCurveCountIsRefused) {
   fs::remove_all(dir);
 }
 
+TEST(CrashResume, DamagedNodeStateLeavesTrainerUntouched) {
+  // A node file whose 'state' section is cut to half, CRCs re-sealed, passes
+  // every meta check and fails only while its state is applied. The refused
+  // load leaves the trainer as it was: nothing has moved on its network, and
+  // run() still reproduces the uninterrupted golden curve.
+  const auto golden = run_once(base_config());
+  for (const std::string& file :
+       {std::string(core::kServerFile), core::checkpoint_platform_filename(1)}) {
+    SCOPED_TRACE(file);
+    const std::string dir = fresh_dir("crash_resume_damaged_state");
+    {
+      auto cfg = base_config();
+      cfg.rounds = 5;
+      cfg.checkpoint_every = 5;
+      cfg.checkpoint_dir = dir;
+      (void)run_once(cfg);
+    }
+    const fs::path round5 = fs::path(dir) / core::checkpoint_round_dirname(5);
+    const std::string path = (round5 / file).string();
+    const SectionFileReader node = SectionFileReader::read_file(path);
+    SectionFileWriter forged;
+    for (const Section& section : node.sections()) {
+      std::vector<std::uint8_t> payload = section.payload;
+      if (section.name == "state") payload.resize(payload.size() / 2);
+      forged.add(section.name, std::move(payload));
+    }
+    forged.write_file(path);
+
+    const Datasets ds = make_datasets();
+    core::SplitTrainer trainer(builder(), ds.train, make_partition(ds.train),
+                               ds.test, base_config());
+    EXPECT_THROW(trainer.load_checkpoint(round5.string()), SerializationError);
+    EXPECT_EQ(trainer.next_round(), 1U);
+    EXPECT_EQ(trainer.network().clock().now(), 0.0);
+    EXPECT_EQ(trainer.network().stats().total_bytes(), 0U);
+    expect_identical(golden, trainer.run());
+    fs::remove_all(dir);
+  }
+}
+
 TEST(CrashResume, MismatchedConfigIsRefused) {
   const std::string dir = fresh_dir("crash_resume_config");
   {
