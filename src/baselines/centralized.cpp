@@ -2,66 +2,22 @@
 
 #include <numeric>
 
-#include "src/common/error.hpp"
-#include "src/common/logging.hpp"
-#include "src/common/thread_pool.hpp"
-#include "src/metrics/evaluate.hpp"
-#include "src/nn/loss.hpp"
-
 namespace splitmed::baselines {
 
 CentralizedTrainer::CentralizedTrainer(core::ModelBuilder builder,
                                        const data::Dataset& train,
                                        const data::Dataset& test,
                                        BaselineConfig config)
-    : config_(std::move(config)), train_(&train), test_(&test) {
-  if (config_.threads > 0) set_global_threads(config_.threads);
-  model_ = std::make_unique<models::BuiltModel>(builder());
-  optimizer_ =
-      std::make_unique<optim::Sgd>(model_->net.parameters(), config_.sgd);
+    : Baseline("centralized", builder, 1, train, test, std::move(config)),
+      optimizer_(model().parameters(), config_.sgd) {
   std::vector<std::int64_t> all(static_cast<std::size_t>(train.size()));
   std::iota(all.begin(), all.end(), 0);
-  loader_ = std::make_unique<data::DataLoader>(train, std::move(all),
-                                               config_.total_batch,
-                                               Rng(config_.seed));
+  loaders_.emplace_back(train, std::move(all), config_.total_batch,
+                        Rng(kLoaderSeed));
 }
 
-metrics::TrainReport CentralizedTrainer::run() {
-  metrics::TrainReport report;
-  report.protocol = "centralized";
-  report.model = model_->name;
-
-  nn::SoftmaxCrossEntropy loss_fn;
-  for (std::int64_t step = 1; step <= config_.steps; ++step) {
-    if (config_.lr_schedule) {
-      const auto epoch = static_cast<std::int64_t>(
-          static_cast<double>(step * config_.total_batch) /
-          static_cast<double>(train_->size()));
-      optimizer_->set_learning_rate(config_.lr_schedule(epoch));
-    }
-    data::Batch batch = loader_->next_batch();
-    model_->net.zero_grad();
-    const Tensor logits = model_->net.forward(batch.images, true);
-    const float loss = loss_fn.forward(logits, batch.labels);
-    model_->net.backward(loss_fn.backward());
-    optimizer_->step();
-
-    if (step % config_.eval_every == 0 || step == config_.steps) {
-      metrics::CurvePoint point;
-      point.step = step;
-      point.epoch = static_cast<double>(step * config_.total_batch) /
-                    static_cast<double>(train_->size());
-      point.train_loss = loss;
-      point.test_accuracy =
-          metrics::evaluate_model(model_->net, *test_, config_.eval_batch);
-      report.curve.push_back(point);
-      SPLITMED_LOG(kInfo) << "centralized step " << step << " loss " << loss
-                          << " acc " << point.test_accuracy;
-      report.steps_completed = step;
-      report.final_accuracy = point.test_accuracy;
-    }
-  }
-  return report;
+double CentralizedTrainer::train_step(std::int64_t /*step*/) {
+  return train_minibatch(model(), loaders_.front(), &optimizer_);
 }
 
 }  // namespace splitmed::baselines

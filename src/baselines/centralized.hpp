@@ -3,29 +3,21 @@
 // ceiling the distributed protocols are measured against.
 #pragma once
 
-#include <memory>
-
-#include "src/baselines/baseline_config.hpp"
-#include "src/core/trainer.hpp"
+#include "src/baselines/baseline.hpp"
 
 namespace splitmed::baselines {
 
-class CentralizedTrainer {
+class CentralizedTrainer : public Baseline {
  public:
   CentralizedTrainer(core::ModelBuilder builder, const data::Dataset& train,
                      const data::Dataset& test, BaselineConfig config);
 
-  metrics::TrainReport run();
-
-  [[nodiscard]] nn::Sequential& model() { return model_->net; }
+  [[nodiscard]] nn::Sequential& model() { return replicas_.front().net; }
 
  private:
-  BaselineConfig config_;
-  const data::Dataset* train_;
-  const data::Dataset* test_;
-  std::unique_ptr<models::BuiltModel> model_;
-  std::unique_ptr<optim::Sgd> optimizer_;
-  std::unique_ptr<data::DataLoader> loader_;
+  double train_step(std::int64_t step) override;
+
+  optim::Sgd optimizer_;
 };
 
 }  // namespace splitmed::baselines

@@ -1,11 +1,9 @@
 #include "src/baselines/cyclic.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "src/common/error.hpp"
-#include "src/common/logging.hpp"
-#include "src/common/thread_pool.hpp"
-#include "src/core/protocol.hpp"
-#include "src/metrics/evaluate.hpp"
-#include "src/nn/loss.hpp"
 #include "src/nn/param_util.hpp"
 
 namespace splitmed::baselines {
@@ -14,109 +12,49 @@ CyclicTrainer::CyclicTrainer(core::ModelBuilder builder,
                              const data::Dataset& train,
                              data::Partition partition,
                              const data::Dataset& test, BaselineConfig config)
-    : config_(std::move(config)), train_(&train), test_(&test) {
-  if (config_.threads > 0) set_global_threads(config_.threads);
+    : Baseline("cyclic", builder, 1, train, test, std::move(config)) {
   SPLITMED_CHECK(partition.size() >= 2,
                  "cyclic transfer needs at least two platforms");
   SPLITMED_CHECK(config_.local_steps > 0, "local_steps must be positive");
-  const std::int64_t k = static_cast<std::int64_t>(partition.size());
+  const std::size_t k = partition.size();
 
-  // Ring topology: hospital i <-> hospital (i+1) % K. We reuse the WAN
-  // profiles for the inter-hospital links.
+  // Ring topology: hospital i <-> hospital (i+1) % K over the hospital WAN
+  // profiles.
   const auto& profiles = net::hospital_wan_profiles();
-  for (std::int64_t p = 0; p < k; ++p) {
+  for (std::size_t p = 0; p < k; ++p) {
     ring_.push_back(network_.add_node("hospital-" + std::to_string(p)));
   }
-  for (std::int64_t p = 0; p < k; ++p) {
-    const auto& prof = profiles[static_cast<std::size_t>(p) % profiles.size()];
-    network_.set_link(ring_[static_cast<std::size_t>(p)],
-                      ring_[static_cast<std::size_t>((p + 1) % k)],
-                      config_.hospital_wan
-                          ? net::Link::mbps(prof.bandwidth_mbps,
-                                            prof.latency_ms)
-                          : config_.uniform_link);
+  for (std::size_t p = 0; p < k; ++p) {
+    const auto& prof = profiles[p % profiles.size()];
+    network_.set_link(ring_[p], ring_[(p + 1) % k],
+                      net::Link::mbps(prof.bandwidth_mbps, prof.latency_ms));
   }
-
-  model_ = std::make_unique<models::BuiltModel>(builder());
-  const std::int64_t local_batch =
-      std::max<std::int64_t>(1, config_.total_batch / k);
-  Rng loader_rng(config_.seed);
-  for (std::int64_t p = 0; p < k; ++p) {
-    SPLITMED_CHECK(!partition[static_cast<std::size_t>(p)].empty(),
-                   "empty platform shard");
-    loaders_.emplace_back(
-        train, partition[static_cast<std::size_t>(p)],
-        std::min<std::int64_t>(
-            local_batch,
-            static_cast<std::int64_t>(
-                partition[static_cast<std::size_t>(p)].size())),
-        loader_rng.split(static_cast<std::uint64_t>(p)));
-  }
+  add_loaders(partition,
+              std::vector<std::int64_t>(
+                  k, std::max<std::int64_t>(
+                         1, config_.total_batch /
+                                static_cast<std::int64_t>(k))));
 }
 
-metrics::TrainReport CyclicTrainer::run() {
-  metrics::TrainReport report;
-  report.protocol = "cyclic";
-  report.model = model_->name;
-
-  const auto params = model_->net.parameters();
-  nn::SoftmaxCrossEntropy loss_fn;
-
-  for (std::int64_t cycle = 1; cycle <= config_.steps; ++cycle) {
-    double loss_acc = 0.0;
-    for (std::size_t p = 0; p < loaders_.size(); ++p) {
-      // Local training at hospital p (fresh optimizer per visit: momentum
-      // does not survive the hand-off in the cyclic scheme).
-      optim::Sgd local_opt(params, config_.sgd);
-      for (std::int64_t s = 0; s < config_.local_steps; ++s) {
-        data::Batch batch = loaders_[p].next_batch();
-        model_->net.zero_grad();
-        const Tensor logits = model_->net.forward(batch.images, true);
-        loss_acc += loss_fn.forward(logits, batch.labels);
-        model_->net.backward(loss_fn.backward());
-        local_opt.step();
-      }
-      // Hand the full model to the next hospital in the ring.
-      const std::size_t next = (p + 1) % loaders_.size();
-      const Tensor flat = nn::flatten_values(params);
-      network_.send(core::make_tensor_envelope(
-          ring_[p], ring_[next], kCyclicTransfer,
-          static_cast<std::uint64_t>(cycle), flat));
-      const Tensor received = core::decode_tensor_payload(
-          network_.receive(ring_[next]).payload);
-      nn::load_values(params, received);
+double CyclicTrainer::train_step(std::int64_t cycle) {
+  const auto params = model().parameters();
+  double loss = 0.0;
+  for (std::size_t p = 0; p < loaders_.size(); ++p) {
+    // Local training at hospital p (fresh optimizer per visit: momentum
+    // does not survive the hand-off in the cyclic scheme).
+    optim::Sgd local_opt(params, config_.sgd);
+    for (std::int64_t s = 0; s < config_.local_steps; ++s) {
+      loss += train_minibatch(model(), loaders_[p], &local_opt);
     }
-
-    const bool budget_hit =
-        config_.byte_budget > 0 &&
-        network_.stats().total_bytes() >= config_.byte_budget;
-    if (cycle % config_.eval_every == 0 || cycle == config_.steps ||
-        budget_hit) {
-      metrics::CurvePoint point;
-      point.step = cycle;
-      point.epoch = static_cast<double>(cycle * config_.local_steps *
-                                        config_.total_batch) /
-                    static_cast<double>(train_->size());
-      point.cumulative_bytes = network_.stats().total_bytes();
-      point.sim_seconds = network_.clock().now();
-      point.train_loss =
-          loss_acc / static_cast<double>(loaders_.size() *
-                                         static_cast<std::size_t>(
-                                             config_.local_steps));
-      point.test_accuracy =
-          metrics::evaluate_model(model_->net, *test_, config_.eval_batch);
-      report.curve.push_back(point);
-      SPLITMED_LOG(kInfo) << "cyclic cycle " << cycle << " loss "
-                          << point.train_loss << " acc "
-                          << point.test_accuracy;
-      report.steps_completed = cycle;
-      report.final_accuracy = point.test_accuracy;
-    }
-    if (budget_hit) break;
+    // Hand the full model to the next hospital in the ring.
+    const std::size_t next = (p + 1) % loaders_.size();
+    nn::load_values(params, transfer(ring_[p], ring_[next],
+                                     BaselineMsg::kCyclicTransfer, cycle,
+                                     nn::flatten_values(params)));
   }
-  report.total_bytes = network_.stats().total_bytes();
-  report.total_sim_seconds = network_.clock().now();
-  return report;
+  return loss / static_cast<double>(loaders_.size() *
+                                    static_cast<std::size_t>(
+                                        config_.local_steps));
 }
 
 }  // namespace splitmed::baselines

@@ -7,37 +7,27 @@
 // moves) but pays parameter-sized messages and learns sequentially.
 #pragma once
 
-#include <memory>
-
-#include "src/baselines/baseline_config.hpp"
-#include "src/core/trainer.hpp"
+#include "src/baselines/baseline.hpp"
 
 namespace splitmed::baselines {
 
-/// Message kind for ring transfers (disjoint from other protocols).
-inline constexpr std::uint32_t kCyclicTransfer = 301;
-
-class CyclicTrainer {
+/// config.steps counts full CYCLES around the ring; each platform runs
+/// config.local_steps local SGD steps per visit.
+class CyclicTrainer : public Baseline {
  public:
   CyclicTrainer(core::ModelBuilder builder, const data::Dataset& train,
                 data::Partition partition, const data::Dataset& test,
                 BaselineConfig config);
 
-  /// config.steps counts full CYCLES around the ring; each platform runs
-  /// config.local_steps local SGD steps per visit.
-  metrics::TrainReport run();
-
-  [[nodiscard]] net::Network& network() { return network_; }
-  [[nodiscard]] nn::Sequential& model() { return model_->net; }
+  [[nodiscard]] nn::Sequential& model() { return replicas_.front().net; }
 
  private:
-  BaselineConfig config_;
-  const data::Dataset* train_;
-  const data::Dataset* test_;
-  net::Network network_;
+  double train_step(std::int64_t cycle) override;
+  [[nodiscard]] std::int64_t step_examples() const override {
+    return config_.local_steps * config_.total_batch;
+  }
+
   std::vector<NodeId> ring_;  // platform nodes in visit order
-  std::unique_ptr<models::BuiltModel> model_;
-  std::vector<data::DataLoader> loaders_;
 };
 
 }  // namespace splitmed::baselines

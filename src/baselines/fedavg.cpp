@@ -1,11 +1,6 @@
 #include "src/baselines/fedavg.hpp"
 
 #include "src/common/error.hpp"
-#include "src/common/logging.hpp"
-#include "src/common/thread_pool.hpp"
-#include "src/core/protocol.hpp"
-#include "src/metrics/evaluate.hpp"
-#include "src/nn/loss.hpp"
 #include "src/nn/param_util.hpp"
 #include "src/tensor/ops.hpp"
 
@@ -15,121 +10,47 @@ FedAvgTrainer::FedAvgTrainer(core::ModelBuilder builder,
                              const data::Dataset& train,
                              data::Partition partition,
                              const data::Dataset& test, BaselineConfig config)
-    : config_(std::move(config)), train_(&train), test_(&test) {
-  if (config_.threads > 0) set_global_threads(config_.threads);
+    : Baseline("fedavg", builder, 1, train, test, std::move(config)) {
   SPLITMED_CHECK(!partition.empty(), "partition has no platforms");
   SPLITMED_CHECK(config_.local_steps > 0, "local_steps must be positive");
   const std::int64_t k = static_cast<std::int64_t>(partition.size());
   SPLITMED_CHECK(config_.total_batch >= k, "batch below one per platform");
 
-  topology_ = config_.hospital_wan
-                  ? net::build_hospital_star(network_, k)
-                  : net::build_uniform_star(network_, k, config_.uniform_link);
-  model_ = std::make_unique<models::BuiltModel>(builder());
-
-  double total = 0.0;
+  topology_ = net::build_hospital_star(network_, k);
+  const double total = static_cast<double>(data::partition_total(partition));
   for (const auto& shard : partition) {
-    SPLITMED_CHECK(!shard.empty(), "empty platform shard");
-    total += static_cast<double>(shard.size());
+    shard_weights_.push_back(static_cast<double>(shard.size()) / total);
   }
-  const std::int64_t local_batch = config_.total_batch / k;
-  Rng loader_rng(config_.seed);
-  for (std::int64_t p = 0; p < k; ++p) {
-    shard_weights_.push_back(
-        static_cast<double>(partition[static_cast<std::size_t>(p)].size()) /
-        total);
-    loaders_.emplace_back(train, partition[static_cast<std::size_t>(p)],
-                          std::max<std::int64_t>(1, local_batch),
-                          loader_rng.split(static_cast<std::uint64_t>(p)));
-  }
+  add_loaders(partition, std::vector<std::int64_t>(partition.size(),
+                                                   config_.total_batch / k));
 }
 
-metrics::TrainReport FedAvgTrainer::run() {
-  metrics::TrainReport report;
-  report.protocol = "fedavg";
-  report.model = model_->name;
-
-  const auto params = model_->net.parameters();
-  nn::SoftmaxCrossEntropy loss_fn;
-  const auto kPull = static_cast<std::uint32_t>(BaselineMsg::kFedPull);
-  const auto kPush = static_cast<std::uint32_t>(BaselineMsg::kFedPush);
-
-  for (std::int64_t round = 1; round <= config_.steps; ++round) {
-    const Tensor global = nn::flatten_values(params);
-    Tensor average(global.shape());
-    double loss_acc = 0.0;
-
-    for (std::size_t p = 0; p < loaders_.size(); ++p) {
-      // Server -> platform: global parameters.
-      network_.send(core::make_tensor_envelope(
-          topology_.server, topology_.platforms[p], kPull,
-          static_cast<std::uint64_t>(round), global));
-      const Tensor pulled = core::decode_tensor_payload(
-          network_.receive(topology_.platforms[p]).payload);
-      nn::load_values(params, pulled);
-
-      // Local training: fresh optimizer per round (no stale momentum from
-      // other platforms' passes through the shared instance).
-      optim::Sgd local_opt(params, config_.sgd);
-      if (config_.lr_schedule) {
-        const auto epoch = static_cast<std::int64_t>(
-            static_cast<double>(round * config_.local_steps *
-                                config_.total_batch) /
-            static_cast<double>(train_->size()));
-        local_opt.set_learning_rate(config_.lr_schedule(epoch));
-      }
-      for (std::int64_t s = 0; s < config_.local_steps; ++s) {
-        data::Batch batch = loaders_[p].next_batch();
-        model_->net.zero_grad();
-        const Tensor logits = model_->net.forward(batch.images, true);
-        loss_acc += loss_fn.forward(logits, batch.labels);
-        model_->net.backward(loss_fn.backward());
-        local_opt.step();
-      }
-
-      // Platform -> server: updated parameters; server accumulates the
-      // shard-size-weighted average.
-      const Tensor updated = nn::flatten_values(params);
-      network_.send(core::make_tensor_envelope(
-          topology_.platforms[p], topology_.server, kPush,
-          static_cast<std::uint64_t>(round), updated));
-      const Tensor pushed = core::decode_tensor_payload(
-          network_.receive(topology_.server).payload);
-      ops::axpy(static_cast<float>(shard_weights_[p]), pushed, average);
+double FedAvgTrainer::train_step(std::int64_t round) {
+  const auto params = model().parameters();
+  const Tensor global = nn::flatten_values(params);
+  Tensor average(global.shape());
+  double loss = 0.0;
+  for (std::size_t p = 0; p < loaders_.size(); ++p) {
+    // Server -> platform: global parameters.
+    nn::load_values(params, transfer(topology_.server, topology_.platforms[p],
+                                     BaselineMsg::kFedPull, round, global));
+    // Local training: fresh optimizer per round (no stale momentum from
+    // other platforms' passes through the shared instance).
+    optim::Sgd local_opt(params, config_.sgd);
+    for (std::int64_t s = 0; s < config_.local_steps; ++s) {
+      loss += train_minibatch(model(), loaders_[p], &local_opt);
     }
-    nn::load_values(params, average);
-
-    const bool budget_hit =
-        config_.byte_budget > 0 &&
-        network_.stats().total_bytes() >= config_.byte_budget;
-    if (round % config_.eval_every == 0 || round == config_.steps ||
-        budget_hit) {
-      metrics::CurvePoint point;
-      point.step = round;
-      point.epoch =
-          static_cast<double>(round * config_.local_steps *
-                              config_.total_batch) /
-          static_cast<double>(train_->size());
-      point.cumulative_bytes = network_.stats().total_bytes();
-      point.sim_seconds = network_.clock().now();
-      point.train_loss =
-          loss_acc / static_cast<double>(loaders_.size() *
-                                         static_cast<std::size_t>(
-                                             config_.local_steps));
-      point.test_accuracy =
-          metrics::evaluate_model(model_->net, *test_, config_.eval_batch);
-      report.curve.push_back(point);
-      SPLITMED_LOG(kInfo) << "fedavg round " << round << " loss "
-                          << point.train_loss << " acc "
-                          << point.test_accuracy;
-      report.steps_completed = round;
-      report.final_accuracy = point.test_accuracy;
-    }
-    if (budget_hit) break;
+    // Platform -> server: updated parameters; server accumulates the
+    // shard-size-weighted average.
+    const Tensor pushed =
+        transfer(topology_.platforms[p], topology_.server,
+                 BaselineMsg::kFedPush, round, nn::flatten_values(params));
+    ops::axpy(static_cast<float>(shard_weights_[p]), pushed, average);
   }
-  report.total_bytes = network_.stats().total_bytes();
-  report.total_sim_seconds = network_.clock().now();
-  return report;
+  nn::load_values(params, average);
+  return loss / static_cast<double>(loaders_.size() *
+                                    static_cast<std::size_t>(
+                                        config_.local_steps));
 }
 
 }  // namespace splitmed::baselines

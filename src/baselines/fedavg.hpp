@@ -9,34 +9,27 @@
 // platform per round).
 #pragma once
 
-#include <memory>
-
-#include "src/baselines/baseline_config.hpp"
-#include "src/core/trainer.hpp"
+#include "src/baselines/baseline.hpp"
 
 namespace splitmed::baselines {
 
-class FedAvgTrainer {
+/// config.steps counts FedAvg ROUNDS; each round performs config.local_steps
+/// local SGD steps per platform.
+class FedAvgTrainer : public Baseline {
  public:
   FedAvgTrainer(core::ModelBuilder builder, const data::Dataset& train,
                 data::Partition partition, const data::Dataset& test,
                 BaselineConfig config);
 
-  /// config.steps counts FedAvg ROUNDS; each round performs
-  /// config.local_steps local SGD steps per platform.
-  metrics::TrainReport run();
-
-  [[nodiscard]] net::Network& network() { return network_; }
-  [[nodiscard]] nn::Sequential& model() { return model_->net; }
+  [[nodiscard]] nn::Sequential& model() { return replicas_.front().net; }
 
  private:
-  BaselineConfig config_;
-  const data::Dataset* train_;
-  const data::Dataset* test_;
-  net::Network network_;
+  double train_step(std::int64_t round) override;
+  [[nodiscard]] std::int64_t step_examples() const override {
+    return config_.local_steps * config_.total_batch;
+  }
+
   net::StarTopology topology_;
-  std::unique_ptr<models::BuiltModel> model_;
-  std::vector<data::DataLoader> loaders_;
   std::vector<double> shard_weights_;  // |D_k| / N
 };
 

@@ -3,10 +3,6 @@
 #include <algorithm>
 
 #include "src/common/error.hpp"
-#include "src/common/logging.hpp"
-#include "src/common/thread_pool.hpp"
-#include "src/metrics/evaluate.hpp"
-#include "src/nn/loss.hpp"
 
 namespace splitmed::baselines {
 
@@ -15,66 +11,32 @@ LocalOnlyTrainer::LocalOnlyTrainer(core::ModelBuilder builder,
                                    data::Partition partition,
                                    const data::Dataset& test,
                                    BaselineConfig config)
-    : config_(std::move(config)), train_(&train), test_(&test) {
-  if (config_.threads > 0) set_global_threads(config_.threads);
+    : Baseline("local-only", builder, partition.size(), train, test,
+               std::move(config)) {
   SPLITMED_CHECK(!partition.empty(), "partition has no platforms");
   const std::int64_t k = static_cast<std::int64_t>(partition.size());
-  const std::int64_t local_batch =
-      std::max<std::int64_t>(1, config_.total_batch / k);
-  Rng loader_rng(config_.seed);
-  for (std::int64_t p = 0; p < k; ++p) {
-    SPLITMED_CHECK(!partition[static_cast<std::size_t>(p)].empty(),
-                   "empty platform shard");
-    models_.push_back(std::make_unique<models::BuiltModel>(builder()));
-    optimizers_.push_back(std::make_unique<optim::Sgd>(
-        models_.back()->net.parameters(), config_.sgd));
-    loaders_.emplace_back(
-        train, partition[static_cast<std::size_t>(p)],
-        std::min<std::int64_t>(
-            local_batch,
-            static_cast<std::int64_t>(
-                partition[static_cast<std::size_t>(p)].size())),
-        loader_rng.split(static_cast<std::uint64_t>(p)));
+  add_loaders(partition,
+              std::vector<std::int64_t>(
+                  partition.size(),
+                  std::max<std::int64_t>(1, config_.total_batch / k)));
+  optimizers_.reserve(replicas_.size());
+  for (auto& replica : replicas_) {
+    optimizers_.emplace_back(replica.net.parameters(), config_.sgd);
   }
+}
+
+double LocalOnlyTrainer::train_step(std::int64_t /*step*/) {
+  double loss = 0.0;
+  for (std::size_t p = 0; p < replicas_.size(); ++p) {
+    loss += train_minibatch(replicas_[p].net, loaders_[p], &optimizers_[p]);
+  }
+  return loss / static_cast<double>(replicas_.size());
 }
 
 LocalOnlyReport LocalOnlyTrainer::run() {
   LocalOnlyReport out;
-  out.combined.protocol = "local-only";
-  out.combined.model = models_.front()->name;
-
-  nn::SoftmaxCrossEntropy loss_fn;
-  for (std::int64_t step = 1; step <= config_.steps; ++step) {
-    double loss_acc = 0.0;
-    for (std::size_t p = 0; p < models_.size(); ++p) {
-      data::Batch batch = loaders_[p].next_batch();
-      models_[p]->net.zero_grad();
-      const Tensor logits = models_[p]->net.forward(batch.images, true);
-      loss_acc += loss_fn.forward(logits, batch.labels);
-      models_[p]->net.backward(loss_fn.backward());
-      optimizers_[p]->step();
-    }
-    if (step % config_.eval_every == 0 || step == config_.steps) {
-      double mean_acc = 0.0;
-      out.platform_accuracy.clear();
-      for (auto& m : models_) {
-        const double acc =
-            metrics::evaluate_model(m->net, *test_, config_.eval_batch);
-        out.platform_accuracy.push_back(acc);
-        mean_acc += acc;
-      }
-      mean_acc /= static_cast<double>(models_.size());
-      metrics::CurvePoint point;
-      point.step = step;
-      point.train_loss = loss_acc / static_cast<double>(models_.size());
-      point.test_accuracy = mean_acc;
-      out.combined.curve.push_back(point);
-      SPLITMED_LOG(kInfo) << "local-only step " << step << " mean acc "
-                          << mean_acc;
-      out.combined.steps_completed = step;
-      out.combined.final_accuracy = mean_acc;
-    }
-  }
+  out.combined = Baseline::run();
+  out.platform_accuracy = accuracies_;
   if (!out.platform_accuracy.empty()) {
     out.min_accuracy = *std::min_element(out.platform_accuracy.begin(),
                                          out.platform_accuracy.end());

@@ -4,10 +4,7 @@
 // interesting outputs are the per-platform accuracies and their spread.
 #pragma once
 
-#include <memory>
-
-#include "src/baselines/baseline_config.hpp"
-#include "src/core/trainer.hpp"
+#include "src/baselines/baseline.hpp"
 
 namespace splitmed::baselines {
 
@@ -18,7 +15,7 @@ struct LocalOnlyReport {
   double max_accuracy = 0.0;
 };
 
-class LocalOnlyTrainer {
+class LocalOnlyTrainer : public Baseline {
  public:
   LocalOnlyTrainer(core::ModelBuilder builder, const data::Dataset& train,
                    data::Partition partition, const data::Dataset& test,
@@ -28,12 +25,9 @@ class LocalOnlyTrainer {
   LocalOnlyReport run();
 
  private:
-  BaselineConfig config_;
-  const data::Dataset* train_;
-  const data::Dataset* test_;
-  std::vector<std::unique_ptr<models::BuiltModel>> models_;
-  std::vector<std::unique_ptr<optim::Sgd>> optimizers_;
-  std::vector<data::DataLoader> loaders_;
+  double train_step(std::int64_t step) override;
+
+  std::vector<optim::Sgd> optimizers_;
 };
 
 }  // namespace splitmed::baselines

@@ -1,12 +1,6 @@
 #include "src/baselines/sync_sgd.hpp"
 
-#include "src/baselines/baseline_config.hpp"
-#include "src/common/error.hpp"
-#include "src/common/logging.hpp"
-#include "src/common/thread_pool.hpp"
-#include "src/core/protocol.hpp"
-#include "src/metrics/evaluate.hpp"
-#include "src/nn/loss.hpp"
+#include "src/core/minibatch_policy.hpp"
 #include "src/nn/param_util.hpp"
 #include "src/tensor/ops.hpp"
 
@@ -17,118 +11,52 @@ SyncSgdTrainer::SyncSgdTrainer(core::ModelBuilder builder,
                                data::Partition partition,
                                const data::Dataset& test,
                                BaselineConfig config)
-    : config_(std::move(config)), train_(&train), test_(&test) {
-  if (config_.threads > 0) set_global_threads(config_.threads);
-  SPLITMED_CHECK(!partition.empty(), "partition has no workers");
-  const std::int64_t k = static_cast<std::int64_t>(partition.size());
-  SPLITMED_CHECK(config_.total_batch >= k, "batch below one per worker");
-
-  topology_ = config_.hospital_wan
-                  ? net::build_hospital_star(network_, k)
-                  : net::build_uniform_star(network_, k, config_.uniform_link);
-  model_ = std::make_unique<models::BuiltModel>(builder());
-  optimizer_ =
-      std::make_unique<optim::Sgd>(model_->net.parameters(), config_.sgd);
-
+    : Baseline("sync-sgd", builder, 1, train, test, std::move(config)),
+      optimizer_(model().parameters(), config_.sgd) {
   // Workers sample uniform minibatches (the baseline has no imbalance
   // mitigation — that is the proposed framework's contribution).
-  minibatches_.assign(static_cast<std::size_t>(k), config_.total_batch / k);
-  for (std::int64_t r = 0; r < config_.total_batch % k; ++r) {
-    ++minibatches_[static_cast<std::size_t>(r)];
+  std::vector<std::int64_t> shard_sizes;
+  for (const auto& shard : partition) {
+    shard_sizes.push_back(static_cast<std::int64_t>(shard.size()));
   }
-  Rng loader_rng(config_.seed);
-  for (std::int64_t p = 0; p < k; ++p) {
-    SPLITMED_CHECK(!partition[static_cast<std::size_t>(p)].empty(),
-                   "worker " << p << " has an empty shard");
-    loaders_.emplace_back(train, partition[static_cast<std::size_t>(p)],
-                          minibatches_[static_cast<std::size_t>(p)],
-                          loader_rng.split(static_cast<std::uint64_t>(p)));
-  }
+  const auto batches = core::minibatch_sizes(
+      core::MinibatchPolicy::kUniform, config_.total_batch, shard_sizes);
+  topology_ = net::build_hospital_star(
+      network_, static_cast<std::int64_t>(partition.size()));
+  add_loaders(partition, batches);
 }
 
-metrics::TrainReport SyncSgdTrainer::run() {
-  metrics::TrainReport report;
-  report.protocol = "sync-sgd";
-  report.model = model_->name;
-
-  const auto params = model_->net.parameters();
-  nn::SoftmaxCrossEntropy loss_fn;
-  const auto kGrad = static_cast<std::uint32_t>(BaselineMsg::kGradPush);
-  const auto kPull = static_cast<std::uint32_t>(BaselineMsg::kParamPull);
-
-  for (std::int64_t step = 1; step <= config_.steps; ++step) {
-    if (config_.lr_schedule) {
-      const auto epoch = static_cast<std::int64_t>(
-          static_cast<double>(step * config_.total_batch) /
-          static_cast<double>(train_->size()));
-      optimizer_->set_learning_rate(config_.lr_schedule(epoch));
+double SyncSgdTrainer::train_step(std::int64_t step) {
+  const auto params = model().parameters();
+  // Each worker computes its gradient and pushes the flat vector.
+  Tensor grad_sum;
+  double loss = 0.0;
+  for (std::size_t w = 0; w < loaders_.size(); ++w) {
+    loss += train_minibatch(model(), loaders_[w], nullptr);
+    const Tensor received =
+        transfer(topology_.platforms[w], topology_.server,
+                 BaselineMsg::kGradPush, step, nn::flatten_gradients(params));
+    if (w == 0) {
+      grad_sum = received;
+    } else {
+      ops::axpy(1.0F, received, grad_sum);
     }
-
-    // Each worker computes its gradient and pushes the flat vector.
-    Tensor grad_sum;
-    double loss_acc = 0.0;
-    for (std::size_t w = 0; w < loaders_.size(); ++w) {
-      data::Batch batch = loaders_[w].next_batch();
-      model_->net.zero_grad();
-      const Tensor logits = model_->net.forward(batch.images, true);
-      loss_acc += loss_fn.forward(logits, batch.labels);
-      model_->net.backward(loss_fn.backward());
-      Tensor flat = nn::flatten_gradients(params);
-      network_.send(core::make_tensor_envelope(
-          topology_.platforms[w], topology_.server, kGrad,
-          static_cast<std::uint64_t>(step), flat));
-      const Tensor received = core::decode_tensor_payload(
-          network_.receive(topology_.server).payload);
-      if (w == 0) {
-        grad_sum = received;
-      } else {
-        ops::axpy(1.0F, received, grad_sum);
-      }
-    }
-    // Server averages and applies the update.
-    nn::load_gradients(
-        params, ops::scale(grad_sum,
-                           1.0F / static_cast<float>(loaders_.size())));
-    optimizer_->step();
-    // Every worker pulls the fresh parameter vector.
-    const Tensor flat_params = nn::flatten_values(params);
-    for (std::size_t w = 0; w < loaders_.size(); ++w) {
-      network_.send(core::make_tensor_envelope(
-          topology_.server, topology_.platforms[w], kPull,
-          static_cast<std::uint64_t>(step), flat_params));
-      const Tensor pulled = core::decode_tensor_payload(
-          network_.receive(topology_.platforms[w]).payload);
-      // Shared-instance replica: loading is a logical no-op, but run it so
-      // the code path (and its cost model) matches physical replicas.
-      nn::load_values(params, pulled);
-    }
-
-    const bool budget_hit =
-        config_.byte_budget > 0 &&
-        network_.stats().total_bytes() >= config_.byte_budget;
-    if (step % config_.eval_every == 0 || step == config_.steps ||
-        budget_hit) {
-      metrics::CurvePoint point;
-      point.step = step;
-      point.epoch = static_cast<double>(step * config_.total_batch) /
-                    static_cast<double>(train_->size());
-      point.cumulative_bytes = network_.stats().total_bytes();
-      point.sim_seconds = network_.clock().now();
-      point.train_loss = loss_acc / static_cast<double>(loaders_.size());
-      point.test_accuracy =
-          metrics::evaluate_model(model_->net, *test_, config_.eval_batch);
-      report.curve.push_back(point);
-      SPLITMED_LOG(kInfo) << "sync-sgd step " << step << " loss "
-                          << point.train_loss << " acc "
-                          << point.test_accuracy;
-      report.steps_completed = step;
-      report.final_accuracy = point.test_accuracy;
-    }
-    if (budget_hit) break;
   }
-  report.total_bytes = network_.stats().total_bytes();
-  report.total_sim_seconds = network_.clock().now();
-  return report;
+  // Server averages and applies the update.
+  nn::load_gradients(
+      params,
+      ops::scale(grad_sum, 1.0F / static_cast<float>(loaders_.size())));
+  optimizer_.step();
+  // Every worker pulls the fresh parameter vector. Shared-instance replica:
+  // loading is a logical no-op, but run it so the code path (and its cost
+  // model) matches physical replicas.
+  const Tensor flat_params = nn::flatten_values(params);
+  for (std::size_t w = 0; w < loaders_.size(); ++w) {
+    nn::load_values(params, transfer(topology_.server, topology_.platforms[w],
+                                     BaselineMsg::kParamPull, step,
+                                     flat_params));
+  }
+  return loss / static_cast<double>(loaders_.size());
 }
 
 }  // namespace splitmed::baselines

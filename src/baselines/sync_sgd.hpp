@@ -15,34 +15,23 @@
 // step, all byte-accounted).
 #pragma once
 
-#include <memory>
-
-#include "src/baselines/baseline_config.hpp"
-#include "src/core/trainer.hpp"
+#include "src/baselines/baseline.hpp"
 
 namespace splitmed::baselines {
 
-class SyncSgdTrainer {
+class SyncSgdTrainer : public Baseline {
  public:
   SyncSgdTrainer(core::ModelBuilder builder, const data::Dataset& train,
                  data::Partition partition, const data::Dataset& test,
                  BaselineConfig config);
 
-  metrics::TrainReport run();
-
-  [[nodiscard]] net::Network& network() { return network_; }
-  [[nodiscard]] nn::Sequential& model() { return model_->net; }
+  [[nodiscard]] nn::Sequential& model() { return replicas_.front().net; }
 
  private:
-  BaselineConfig config_;
-  const data::Dataset* train_;
-  const data::Dataset* test_;
-  net::Network network_;
+  double train_step(std::int64_t step) override;
+
   net::StarTopology topology_;
-  std::unique_ptr<models::BuiltModel> model_;
-  std::unique_ptr<optim::Sgd> optimizer_;
-  std::vector<data::DataLoader> loaders_;
-  std::vector<std::int64_t> minibatches_;
+  optim::Sgd optimizer_;
 };
 
 }  // namespace splitmed::baselines

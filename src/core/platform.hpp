@@ -89,7 +89,6 @@ class PlatformNode {
 
   /// Paper's imbalance mitigation: the trainer sets s_k per round.
   void set_minibatch_size(std::int64_t s);
-  void set_learning_rate(float lr) { opt_.set_learning_rate(lr); }
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] std::int64_t shard_size() const {

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "src/common/error.hpp"
+#include "src/net/network.hpp"
 #include "src/obs/obs.hpp"
 #include "src/serial/buffer.hpp"
 #include "src/serial/codec.hpp"
@@ -67,6 +68,13 @@ Envelope make_tensor_envelope(NodeId src, NodeId dst, std::uint32_t kind,
       make_envelope(src, dst, kind, round, encode_tensor_payload(t, codec));
   e.codec = codec;
   return e;
+}
+
+Tensor transfer_tensor(net::Network& network, NodeId src, NodeId dst,
+                       std::uint32_t kind, std::uint64_t round,
+                       const Tensor& t) {
+  network.send(make_tensor_envelope(src, dst, kind, round, t));
+  return decode_tensor_payload(network.receive(dst).payload);
 }
 
 }  // namespace splitmed::core

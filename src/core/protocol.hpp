@@ -24,6 +24,10 @@
 #include "src/serial/wire_codec.hpp"
 #include "src/tensor/tensor.hpp"
 
+namespace splitmed::net {
+class Network;
+}  // namespace splitmed::net
+
 namespace splitmed::core {
 
 enum class MsgKind : std::uint32_t {
@@ -67,6 +71,19 @@ inline Envelope make_tensor_envelope(NodeId src, NodeId dst, MsgKind kind,
                                      WireCodec codec = WireCodec::kF32) {
   return make_tensor_envelope(src, dst, static_cast<std::uint32_t>(kind),
                               round, t, codec);
+}
+
+/// Hands one whole tensor from `src` to `dst`: sends it as a kF32 frame,
+/// receives it at `dst` and decodes it. The L1-sync extension and the
+/// baseline protocols move every tensor this way.
+Tensor transfer_tensor(net::Network& network, NodeId src, NodeId dst,
+                       std::uint32_t kind, std::uint64_t round,
+                       const Tensor& t);
+inline Tensor transfer_tensor(net::Network& network, NodeId src, NodeId dst,
+                              MsgKind kind, std::uint64_t round,
+                              const Tensor& t) {
+  return transfer_tensor(network, src, dst, static_cast<std::uint32_t>(kind),
+                         round, t);
 }
 
 }  // namespace splitmed::core

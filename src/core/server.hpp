@@ -55,8 +55,6 @@ class CentralServer {
   /// gave up on its step (the logit gradient will never come).
   void abort_pending(NodeId platform);
 
-  void set_learning_rate(float lr) { opt_.set_learning_rate(lr); }
-
   /// Attaches the membership authority (not owned; the trainer holds it) and
   /// the roster mapping NodeId -> platform index. Once attached, the server
   /// handles the membership control plane (kHeartbeat / kJoinRequest),

@@ -311,11 +311,9 @@ void SplitTrainer::sync_l1(std::uint64_t round) {
   for (auto& p : platforms_) total_weight += static_cast<double>(p->shard_size());
   bool first = true;
   for (auto& p : platforms_) {
-    const Tensor flat = nn::flatten_values(p->l1().parameters());
-    network_.send(make_tensor_envelope(p->id(), server_->id(),
-                                       MsgKind::kL1SyncUp, round, flat));
     const Tensor received =
-        decode_tensor_payload(network_.receive(server_->id()).payload);
+        transfer_tensor(network_, p->id(), server_->id(), MsgKind::kL1SyncUp,
+                        round, nn::flatten_values(p->l1().parameters()));
     const float w = static_cast<float>(
         static_cast<double>(p->shard_size()) / total_weight);
     if (first) {
@@ -326,11 +324,9 @@ void SplitTrainer::sync_l1(std::uint64_t round) {
     }
   }
   for (auto& p : platforms_) {
-    network_.send(make_tensor_envelope(server_->id(), p->id(),
-                                       MsgKind::kL1SyncDown, round, mean));
-    const Tensor down =
-        decode_tensor_payload(network_.receive(p->id()).payload);
-    nn::load_values(p->l1().parameters(), down);
+    nn::load_values(p->l1().parameters(),
+                    transfer_tensor(network_, server_->id(), p->id(),
+                                    MsgKind::kL1SyncDown, round, mean));
   }
 }
 
@@ -398,14 +394,6 @@ metrics::TrainReport SplitTrainer::run() {
     const bool timed = obs::metrics() != nullptr;
     const auto round_begin = timed ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
-    if (config_.lr_schedule) {
-      const auto epoch = static_cast<std::int64_t>(
-          static_cast<double>(examples_processed_) /
-          static_cast<double>(train_->size()));
-      const float lr = config_.lr_schedule(epoch);
-      server_->set_learning_rate(lr);
-      for (auto& p : platforms_) p->set_learning_rate(lr);
-    }
     const auto participants = sample_participants(round);
     // A step can be abandoned (hospital unreachable) or refused; only
     // platforms whose step completed count toward the examples processed

@@ -27,7 +27,6 @@
 #include "src/models/model.hpp"
 #include "src/net/topology.hpp"
 #include "src/obs/obs.hpp"
-#include "src/optim/lr_schedule.hpp"
 
 namespace splitmed::core {
 
@@ -65,8 +64,6 @@ struct SplitConfig {
   std::uint64_t byte_budget = 0;
   std::int64_t eval_batch = 64;
   optim::SgdOptions sgd{};
-  /// Optional lr schedule over (integer) epochs; empty keeps sgd.learning_rate.
-  optim::LrSchedule lr_schedule;
   /// Extension (ablation): average L1 weights across platforms every N
   /// rounds through the server, byte-accounted. 0 = never (the paper).
   std::int64_t sync_l1_every = 0;

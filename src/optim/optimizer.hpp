@@ -26,10 +26,6 @@ class Optimizer {
     for (nn::Parameter* p : params_) p->zero_grad();
   }
 
-  /// Current learning rate (mutable so schedules can drive it).
-  [[nodiscard]] virtual float learning_rate() const = 0;
-  virtual void set_learning_rate(float lr) = 0;
-
   /// Clears all accumulator state (momentum / moment estimates) back to the
   /// freshly-constructed value. Used by a cold platform rejoin: a platform
   /// that lost its local state restarts from the genesis L1 weights, and

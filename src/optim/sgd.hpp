@@ -19,10 +19,6 @@ class Sgd final : public Optimizer {
 
   void step() override;
   void reset_state() override;
-  [[nodiscard]] float learning_rate() const override {
-    return options_.learning_rate;
-  }
-  void set_learning_rate(float lr) override { options_.learning_rate = lr; }
 
   void save_state(BufferWriter& writer) const override;
   void load_state(BufferReader& reader) override;

@@ -1,4 +1,4 @@
-// Tests for optim/: SGD variants, Adam, lr schedules, convergence property.
+// Tests for optim/: SGD variants, Adam, convergence property.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "src/nn/parameter.hpp"
 #include "src/nn/sequential.hpp"
 #include "src/optim/adam.hpp"
-#include "src/optim/lr_schedule.hpp"
 #include "src/optim/sgd.hpp"
 
 namespace splitmed {
@@ -146,34 +145,6 @@ TEST(Optim, AdamTrainsASmallConvNet) {
     opt.step();
   }
   EXPECT_LT(final_loss, 0.05F);
-}
-
-TEST(LrSchedule, Constant) {
-  const auto s = optim::constant_lr(0.05F);
-  EXPECT_FLOAT_EQ(s(0), 0.05F);
-  EXPECT_FLOAT_EQ(s(100), 0.05F);
-}
-
-TEST(LrSchedule, StepDecay) {
-  const auto s = optim::step_lr(1.0F, 10, 0.1F);
-  EXPECT_FLOAT_EQ(s(0), 1.0F);
-  EXPECT_FLOAT_EQ(s(9), 1.0F);
-  EXPECT_FLOAT_EQ(s(10), 0.1F);
-  EXPECT_NEAR(s(25), 0.01F, 1e-6F);
-}
-
-TEST(LrSchedule, CosineEndpoints) {
-  const auto s = optim::cosine_lr(1.0F, 0.0F, 100);
-  EXPECT_NEAR(s(0), 1.0F, 1e-5F);
-  EXPECT_NEAR(s(50), 0.5F, 1e-5F);
-  EXPECT_NEAR(s(100), 0.0F, 1e-5F);
-  EXPECT_NEAR(s(200), 0.0F, 1e-5F);  // clamped past the horizon
-}
-
-TEST(LrSchedule, ValidatesArguments) {
-  EXPECT_THROW(optim::constant_lr(0.0F), InvalidArgument);
-  EXPECT_THROW(optim::step_lr(0.1F, 0, 0.5F), InvalidArgument);
-  EXPECT_THROW(optim::cosine_lr(0.1F, 0.2F, 10), InvalidArgument);
 }
 
 }  // namespace
