@@ -117,7 +117,7 @@ Scenario crash_and_resume(const std::string& name, const HarnessConfig& hc,
                           const metrics::TrainReport& golden, bool faulted,
                           std::int64_t crash_after,
                           const std::function<void(const fs::path&)>& sabotage) {
-  Scenario s{name};
+  Scenario s{name, false, {}};
   const fs::path dir = fs::path(hc.dir) / name;
   fs::remove_all(dir);
   fs::create_directories(dir);

@@ -67,7 +67,7 @@ int main() {
 
   Table table({"model", "params", "split bytes/step", "sync-SGD bytes/step",
                "fedavg bytes/round", "SGD/split"});
-  for (const std::string& name :
+  for (const char* name :
        {"vgg11", "vgg13", "vgg16", "resnet20", "resnet32", "resnet18"}) {
     models::FactoryConfig cfg;
     cfg.name = name;

@@ -225,11 +225,11 @@ TEST(Flags, RejectsUnknownAndMalformed) {
 
   const char* badint[] = {"prog", "--n=abc"};
   Flags f2(2, badint);
-  EXPECT_THROW(f2.get_int("n", 0), InvalidArgument);
+  EXPECT_THROW((void)f2.get_int("n", 0), InvalidArgument);
 
   const char* badbool[] = {"prog", "--b=maybe"};
   Flags f3(2, badbool);
-  EXPECT_THROW(f3.get_bool("b", false), InvalidArgument);
+  EXPECT_THROW((void)f3.get_bool("b", false), InvalidArgument);
 }
 
 TEST(Logging, RespectsLevelAndSink) {

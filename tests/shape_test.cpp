@@ -31,8 +31,8 @@ TEST(Shape, NegativeAxisCountsFromBack) {
 
 TEST(Shape, AxisOutOfRangeThrows) {
   const Shape s{2, 3};
-  EXPECT_THROW(s.dim(2), InvalidArgument);
-  EXPECT_THROW(s.dim(-3), InvalidArgument);
+  EXPECT_THROW((void)s.dim(2), InvalidArgument);
+  EXPECT_THROW((void)s.dim(-3), InvalidArgument);
 }
 
 TEST(Shape, NegativeDimRejected) {
