@@ -35,6 +35,8 @@ Baseline::Baseline(std::string protocol, const core::ModelBuilder& builder,
       train_(&train),
       test_(&test),
       protocol_(std::move(protocol)) {
+  SPLITMED_CHECK(config_.eval_every > 0,
+                 "eval_every must be positive, got " << config_.eval_every);
   if (config_.threads > 0) set_global_threads(config_.threads);
   replicas_.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) replicas_.push_back(builder());

@@ -72,6 +72,7 @@ class Baseline {
                                optim::Optimizer* opt);
 
   /// Builds `replicas` models with `builder` after applying config.threads.
+  /// Throws InvalidArgument unless config.eval_every is positive.
   Baseline(std::string protocol, const core::ModelBuilder& builder,
            std::size_t replicas, const data::Dataset& train,
            const data::Dataset& test, BaselineConfig config);

@@ -183,6 +183,11 @@ TEST(Baselines, ValidateConstruction) {
   EXPECT_THROW(
       baselines::FedAvgTrainer(builder(), train, {{0, 1}}, test, cfg),
       InvalidArgument);
+  // Every curve-point test is `step % eval_every`.
+  cfg = base_config();
+  cfg.eval_every = 0;
+  EXPECT_THROW(baselines::CentralizedTrainer(builder(), train, test, cfg),
+               InvalidArgument);
 }
 
 
