@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/core/checkpoint.hpp"
 #include "src/core/membership.hpp"
 #include "src/core/platform.hpp"
 #include "src/core/server.hpp"
@@ -23,6 +24,7 @@
 #include "src/models/mlp.hpp"
 #include "src/net/network.hpp"
 #include "src/nn/param_util.hpp"
+#include "src/serial/section_file.hpp"
 
 namespace splitmed {
 namespace {
@@ -486,6 +488,46 @@ TEST(ChurnChaos, GoldenResumeThroughMidOutageCheckpoint) {
   // means churn semantics changed — update deliberately, never casually.
   const ChaosResult again = run_chaos(chaos_config());
   EXPECT_EQ(golden.ledger_fingerprint, again.ledger_fingerprint);
+  fs::remove_all(dir);
+}
+
+TEST(ChurnChaos, DamagedNodeStateLeavesMembershipUntouched) {
+  // The round-6 chaos checkpoint with platform 1's 'state' section cut to
+  // half, CRCs re-sealed: the load fails after the membership section was
+  // applied, so the refused load must put the membership service back too.
+  // The trainer then runs as if never touched, ledger included.
+  const ChaosResult golden = run_chaos(chaos_config());
+  const std::string dir = fresh_dir("churn_chaos_damaged_state");
+  {
+    auto cfg = chaos_config();
+    cfg.rounds = 6;
+    cfg.checkpoint_every = 6;
+    cfg.checkpoint_dir = dir;
+    (void)run_chaos(cfg);
+  }
+  const fs::path round6 = fs::path(dir) / core::checkpoint_round_dirname(6);
+  const std::string path =
+      (round6 / core::checkpoint_platform_filename(1)).string();
+  const SectionFileReader node = SectionFileReader::read_file(path);
+  SectionFileWriter forged;
+  for (const Section& section : node.sections()) {
+    std::vector<std::uint8_t> payload = section.payload;
+    if (section.name == "state") payload.resize(payload.size() / 2);
+    forged.add(section.name, std::move(payload));
+  }
+  forged.write_file(path);
+
+  const auto train = make_train(96);
+  const auto test = make_train(24);
+  Rng prng(1);
+  const auto partition = data::partition_iid(train.size(), 3, prng);
+  core::SplitTrainer trainer(mlp_builder(), train, partition, test,
+                             chaos_config());
+  EXPECT_THROW(trainer.load_checkpoint(round6.string()), SerializationError);
+  EXPECT_EQ(trainer.next_round(), 1U);
+  expect_identical(golden.report, trainer.run());
+  EXPECT_EQ(trainer.membership()->ledger().fingerprint(),
+            golden.ledger_fingerprint);
   fs::remove_all(dir);
 }
 
