@@ -1,5 +1,6 @@
 #include "src/nn/conv2d.hpp"
 
+#include <optional>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -79,26 +80,42 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
       name() << ": run_fused span too small");
   // W is packed once for the whole batch, in the calling thread's arena.
   // Samples write disjoint output planes, so the batch partitions cleanly
-  // across threads; each chunk lowers its samples into col scratch from its
-  // own thread's arena and runs them against the shared pack:
+  // across threads; each chunk lowers its samples into scratch from its own
+  // thread's arena and runs them against the shared pack:
   // out[b] = W[out_c, crk] · col[crk, oh*ow], with the elementwise tail
-  // (bias / bn / relu, per output channel = per C row) at write-back. With a
-  // single-sample batch the chunk runs inline and the GEMM splits its tiles
-  // across threads instead.
+  // (bias / bn / relu, per output channel = per C row) at write-back. A
+  // whole-plane geometry writes its columns straight into the micro-
+  // kernel's B panels (MaskedShift, its masks built here and shared by the
+  // chunks), so no column matrix is built and no pack_b runs; the others
+  // lower row-wise and let gemm_lhs pack. With a single-sample batch the
+  // chunk runs inline and the GEMM splits its tiles across threads instead.
   ws::WorkspaceScope scope;
   const PackedLhs w = pack_lhs(/*transposed=*/false, out_c_, g.col_cols(),
                                g.col_rows(), weight_.value.data(), scope);
+  std::optional<MaskedShift> lowering;
+  if (g.whole_plane()) lowering.emplace(g, w.kernel->panel_cols, scope);
   parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
     ws::WorkspaceScope scratch;
-    std::span<float> col = scratch.floats(g.col_rows() * g.col_cols());
+    std::span<float> margined;
+    std::span<float> cols;
+    if (lowering) {
+      margined = scratch.floats(lowering->margined_floats());
+      cols = scratch.floats(lowering->panel_floats());
+    } else {
+      cols = scratch.floats(g.col_rows() * g.col_cols());
+    }
     for (std::int64_t b = b0; b < b1; ++b) {
-      im2col(g, input.subspan(static_cast<std::size_t>(b * image_elems),
-                              static_cast<std::size_t>(image_elems)),
-             col);
-      gemm_lhs(w, col,
-               out.subspan(static_cast<std::size_t>(b * out_elems),
-                           static_cast<std::size_t>(out_elems)),
-               &ep);
+      const auto image = input.subspan(static_cast<std::size_t>(b * image_elems),
+                                       static_cast<std::size_t>(image_elems));
+      const auto o = out.subspan(static_cast<std::size_t>(b * out_elems),
+                                 static_cast<std::size_t>(out_elems));
+      if (lowering) {
+        lowering->panels(image, margined, cols);
+        gemm_panels(w, cols, o, &ep);
+      } else {
+        im2col_rows(g, image, cols);
+        gemm_lhs(w, cols, o, &ep);
+      }
     }
   });
 }
@@ -142,6 +159,8 @@ Tensor Conv2d::backward_from(std::span<const float> grad_output,
   std::span<float> db_slabs = slabs.floats(batch * out_c_);
   Tensor grad_input;
   PackedLhs wt;
+  std::optional<MaskedShift> lowering;
+  if (g.whole_plane()) lowering.emplace(g, /*panel_cols=*/1, slabs);
   if (input_grad) {
     grad_input = Tensor(cached_input_.shape());
     wt = pack_lhs(/*transposed=*/true, g.col_rows(), g.col_cols(), out_c_,
@@ -154,10 +173,14 @@ Tensor Conv2d::backward_from(std::span<const float> grad_output,
   //    scatter-added back to this sample's disjoint grad_input planes
   //    (col2im);
   //  - bias slab: spatial sums per channel;
-  //  - weight slab: dW_b = g_out[out_c, ohw] · colᵀ[ohw, crk]  (gemm_nt).
-  // col/dcol scratch comes from each worker's own arena.
+  //  - weight slab: dW_b = g_out[out_c, ohw] · colᵀ[ohw, crk]  (gemm_nt),
+  //    col lowered by the shared MaskedShift when whole-plane.
+  // col/dcol (and margined) scratch comes from each worker's own arena.
   parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
     ws::WorkspaceScope scratch;
+    std::span<float> margined =
+        lowering ? scratch.floats(lowering->margined_floats())
+                 : std::span<float>{};
     std::span<float> col = scratch.floats(g.col_rows() * g.col_cols());
     std::span<float> dcol =
         input_grad ? scratch.floats(g.col_rows() * g.col_cols())
@@ -178,9 +201,13 @@ Tensor Conv2d::backward_from(std::span<const float> grad_output,
         for (std::int64_t i = 1; i < oh * ow; ++i) acc += plane[i];
         db[c] = acc;
       }
-      im2col(g, id.subspan(static_cast<std::size_t>(b * image_elems),
-                           static_cast<std::size_t>(image_elems)),
-             col);
+      const auto image = id.subspan(static_cast<std::size_t>(b * image_elems),
+                                    static_cast<std::size_t>(image_elems));
+      if (lowering) {
+        lowering->rows(image, margined, col);
+      } else {
+        im2col_rows(g, image, col);
+      }
       gemm_nt(out_c_, g.col_rows(), g.col_cols(), g_out, col,
               dw_slabs.subspan(static_cast<std::size_t>(b * wn),
                                static_cast<std::size_t>(wn)));

@@ -1,4 +1,5 @@
-// 2-D convolution (NCHW) via im2col + GEMM.
+// 2-D convolution (NCHW) via im2col + GEMM; whole-plane geometries lower
+// straight into the GEMM's B panels (MaskedShift, gemm_panels).
 #pragma once
 
 #include <span>

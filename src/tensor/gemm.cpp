@@ -7,7 +7,8 @@
 //      its weights once per layer call and runs every sample against them
 //      (gemm_lhs).
 //   2. Pack B once (calling thread) into NR-column panels, k-major with the
-//      NR columns interleaved, tail columns zero-padded.
+//      NR columns interleaved, tail columns zero-padded. Conv2d's
+//      whole-plane lowering writes this layout itself (gemm_panels).
 //   3. The one tile loop: parallel_for over the MR×NR tiles of C, row-block
 //      major; an MR×NR micro-kernel (src/tensor/gemm_kernels.hpp) computes
 //      each tile with one register accumulator per element, write-first.
@@ -161,42 +162,62 @@ void pack_b(BKind kind, std::int64_t n, std::int64_t k, const float* b,
   }
 }
 
-/// The one tile loop behind gemm_nn/tn/nt and gemm_lhs; `ep` (nullable) is
-/// applied at write-back. C's tiles are numbered row-block major and split
-/// across threads in contiguous runs, so a run keeps its A block (k*MR
-/// floats) hot in L1 while the B panels stream by, and a small m still
-/// splits: its tiles differ by panel. Each C element belongs to one tile,
-/// so any partition is bitwise identical to serial execution.
-void gemm_packed(const PackedLhs& a, BKind bk, std::span<const float> b,
-                 std::span<float> c, const gemmk::Epilogue* ep) {
-  const std::int64_t m = a.m, n = a.n, k = a.k;
-  check_sizes(m, n, k, static_cast<std::size_t>(m * k), b.size(), c.size());
-  if (handle_empty(m, n, k, c.data())) {
-    if (ep != nullptr && m > 0 && n > 0) {
-      apply_epilogue_full(m, n, c.data(), *ep);
-    }
-    return;
+/// Floats of B in the panel layout the tile loop reads for `a`: ceil(n/NR)
+/// panels of k rows of NR floats.
+std::int64_t panel_floats(const PackedLhs& a) {
+  const std::int64_t nr = a.kernel->panel_cols;
+  return checked_mul((a.n + nr - 1) / nr * nr, a.k);
+}
+
+/// Finishes the shapes no micro-kernel runs on (m or n zero, or k zero:
+/// zeros, then the epilogue). Returns true when C is done.
+bool finish_empty(const PackedLhs& a, float* c, const gemmk::Epilogue* ep) {
+  if (!handle_empty(a.m, a.n, a.k, c)) return false;
+  if (ep != nullptr && a.m > 0 && a.n > 0) {
+    apply_epilogue_full(a.m, a.n, c, *ep);
   }
+  return true;
+}
+
+/// The one tile loop behind gemm_nn/tn/nt, gemm_lhs and gemm_panels, over
+/// B in pack_b's panel layout for a.kernel; `ep` (nullable) is applied at
+/// write-back. C's tiles are numbered row-block major and split across
+/// threads in contiguous runs, so a run keeps its A block (k*MR floats) hot
+/// in L1 while the B panels stream by, and a small m still splits: its
+/// tiles differ by panel. Each C element belongs to one tile, so any
+/// partition is bitwise identical to serial execution. The panels are read
+/// by every worker; the pool's fork ordering publishes them before any
+/// chunk runs.
+void run_tiles(const PackedLhs& a, const float* bp, float* c,
+               const gemmk::Epilogue* ep) {
+  const std::int64_t m = a.m, n = a.n, k = a.k;
   const gemmk::MicroKernel& mk = *a.kernel;
   const std::int64_t mr_max = mk.block_rows;
   const std::int64_t nr_max = mk.panel_cols;
   const std::int64_t panels = (n + nr_max - 1) / nr_max;
   const std::int64_t tiles = (m + mr_max - 1) / mr_max * panels;
-  // B is packed once by the calling thread and read by every worker; the
-  // pool's fork ordering publishes it before any chunk runs.
-  ws::WorkspaceScope bscope;
-  float* bp = bscope.floats(checked_mul(panels * nr_max, k)).data();
-  pack_b(bk, n, k, b.data(), nr_max, bp);
-  float* cp = c.data();
   parallel_for(0, tiles, tile_grain(k, mr_max, nr_max),
                [&](std::int64_t t0, std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t) {
       const std::int64_t i0 = t / panels * mr_max;
       const std::int64_t j0 = t % panels * nr_max;
-      mk.fn(k, a.blocks + i0 * k, bp + j0 * k, cp + i0 * n + j0, n,
+      mk.fn(k, a.blocks + i0 * k, bp + j0 * k, c + i0 * n + j0, n,
             std::min(mr_max, m - i0), std::min(nr_max, n - j0), ep, i0, j0);
     }
   });
+}
+
+/// gemm_nn/tn/nt and gemm_lhs: B is packed once by the calling thread,
+/// then the tile loop runs.
+void gemm_packed(const PackedLhs& a, BKind bk, std::span<const float> b,
+                 std::span<float> c, const gemmk::Epilogue* ep) {
+  check_sizes(a.m, a.n, a.k, static_cast<std::size_t>(a.m * a.k), b.size(),
+              c.size());
+  if (finish_empty(a, c.data(), ep)) return;
+  ws::WorkspaceScope bscope;
+  float* bp = bscope.floats(panel_floats(a)).data();
+  pack_b(bk, a.n, a.k, b.data(), a.kernel->panel_cols, bp);
+  run_tiles(a, bp, c.data(), ep);
 }
 
 /// gemm_nn/tn/nt(_ep): A is packed into this call's own scope, then the
@@ -292,6 +313,18 @@ void gemm_lhs(const PackedLhs& a, std::span<const float> b, std::span<float> c,
   const GemmTimer timer;
   SPLITMED_CHECK(a.kernel != nullptr, "gemm_lhs: operand was never packed");
   gemm_packed(a, BKind::kNormal, b, c, ep);
+}
+
+void gemm_panels(const PackedLhs& a, std::span<const float> panels,
+                 std::span<float> c, const gemmk::Epilogue* ep) {
+  const GemmTimer timer;
+  SPLITMED_CHECK(a.kernel != nullptr, "gemm_panels: operand was never packed");
+  SPLITMED_CHECK(
+      panels.size() >= static_cast<std::size_t>(panel_floats(a)) &&
+          c.size() >= static_cast<std::size_t>(checked_mul(a.m, a.n)),
+      "gemm_panels: span smaller than the panels or m*n");
+  if (finish_empty(a, c.data(), ep)) return;
+  run_tiles(a, panels.data(), c.data(), ep);
 }
 
 void gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k,

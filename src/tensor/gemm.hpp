@@ -1,6 +1,7 @@
 // Packed, register-blocked single-precision GEMM kernels on raw spans.
-// ops::matmul* wrap these with shape checking; nn::Conv2d uses them via
-// im2col. See docs/PERFORMANCE.md for the kernel design and the bitwise-
+// ops::matmul* wrap these with shape checking; nn::Conv2d runs its packed
+// weights against each sample's lowered columns (gemm_lhs, gemm_panels).
+// See docs/PERFORMANCE.md for the kernel design and the bitwise-
 // determinism contract (identical results for any thread count and any
 // micro-kernel ISA variant, bitwise equal to the *_ref kernels below).
 #pragma once
@@ -65,6 +66,15 @@ struct PackedLhs {
 /// region.
 void gemm_lhs(const PackedLhs& a, std::span<const float> b, std::span<float> c,
               const gemmk::Epilogue* ep = nullptr);
+
+/// gemm_lhs with B already packed by the caller in the panel layout the
+/// tile loop reads: with NR = a.kernel->panel_cols, panel jp holds columns
+/// [jp*NR, jp*NR+NR) of B[k,n] as k rows of NR floats, the columns past n
+/// zero (ceil(n/NR) panels). Conv2d writes its lowered columns straight
+/// into this layout. Counted in the same gemm obs counters; bitwise equal
+/// to gemm_lhs on the unpacked B.
+void gemm_panels(const PackedLhs& a, std::span<const float> panels,
+                 std::span<float> c, const gemmk::Epilogue* ep = nullptr);
 
 /// Serial naive reference kernels: the strict k-ascending, write-first left
 /// fold that the packed kernels above must reproduce BITWISE (asserted

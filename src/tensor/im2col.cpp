@@ -1,6 +1,7 @@
 #include "src/tensor/im2col.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/common/error.hpp"
@@ -47,65 +48,51 @@ void check_spans(const ConvGeometry& g, std::size_t image, std::size_t col) {
                  "im2col/col2im: col span too small");
 }
 
-/// One column row of a whole-plane geometry: output element i reads input
-/// element i + shift, for i in [begin, end) — except the `wrapped` runs
-/// [y*W + x1, (y+1)*W + x0) between consecutive output rows, whose shifted
-/// reads crossed a row end and belong to the padding. `empty` when the
-/// shift leaves no input inside the plane.
-struct PlaneShift {
-  std::int64_t shift = 0;
-  std::int64_t begin = 0;
-  std::int64_t end = 0;
-  std::int64_t y0 = 0;
-  std::int64_t y1 = 0;
-  std::int64_t x0 = 0;
-  std::int64_t x1 = 0;
-  [[nodiscard]] bool empty() const { return begin >= end; }
-};
-
-PlaneShift plane_shift(const ConvGeometry& g, std::int64_t kh,
-                       std::int64_t kw) {
-  const std::int64_t h = g.in_h, w = g.in_w;
-  const std::int64_t dy = kh - g.pad, dx = kw - g.pad;
-  PlaneShift p;
-  p.shift = dy * w + dx;
-  p.y0 = std::max<std::int64_t>(0, -dy);
-  p.y1 = std::min(h, h - dy);
-  p.x0 = std::max<std::int64_t>(0, -dx);
-  p.x1 = std::min(w, w - dx);
-  if (p.y0 < p.y1 && p.x0 < p.x1) {
-    p.begin = p.y0 * w + p.x0;
-    p.end = (p.y1 - 1) * w + p.x1;
+/// dst[i] = bits(src[i]) & mask[i] for i in [0, n): the one body behind
+/// every whole-plane row and panel. Pure bit movement: a kept lane is the
+/// source's exact bits, a masked one +0.0.
+inline void masked_copy(const float* __restrict src,
+                        const std::uint32_t* __restrict mask,
+                        float* __restrict dst, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    dst[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(src[i]) &
+                                  mask[i]);
   }
-  return p;
 }
 
-void im2col_planes(const ConvGeometry& g, const float* image, float* col) {
-  const std::int64_t w = g.in_w, hw = g.in_h * g.in_w;
-  parallel_for(0, g.channels, channel_grain(g), [&](std::int64_t c0,
-                                                    std::int64_t c1) {
-    for (std::int64_t c = c0; c < c1; ++c) {
-      const float* chan = image + c * hw;
-      float* out = col + c * g.kernel_h * g.kernel_w * hw;
+/// MaskedShift::panels' rows, panel-major so the panels are written front
+/// to back. NR > 0 fixes the panel width at compile time, so each row's
+/// copy unrolls; NR == 0 takes it from `nr`.
+template <std::int64_t NR>
+void write_panels(const ConvGeometry& g, const float* margined,
+                  std::int64_t plane_stride, const std::uint32_t* masks,
+                  std::int64_t cols, std::int64_t nr, float* dst) {
+  const std::int64_t width = NR > 0 ? NR : nr;
+  for (std::int64_t j0 = 0; j0 < cols; j0 += width) {
+    for (std::int64_t c = 0; c < g.channels; ++c) {
+      const float* plane = margined + c * plane_stride + j0;
+      const std::uint32_t* mask = masks + j0;
       for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, out += hw) {
-          const PlaneShift p = plane_shift(g, kh, kw);
-          if (p.empty()) {
-            std::fill(out, out + hw, 0.0F);
-            continue;
-          }
-          std::fill(out, out + p.begin, 0.0F);
-          std::memcpy(out + p.begin, chan + p.begin + p.shift,
-                      static_cast<std::size_t>(p.end - p.begin) *
-                          sizeof(float));
-          std::fill(out + p.end, out + hw, 0.0F);
-          for (std::int64_t y = p.y0; y + 1 < p.y1; ++y) {
-            std::fill(out + y * w + p.x1, out + (y + 1) * w + p.x0, 0.0F);
-          }
+        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+          masked_copy(plane + kh * g.in_w + kw, mask, dst, width);
+          mask += cols;
+          dst += width;
         }
       }
     }
-  });
+  }
+}
+
+/// write_panels compiled for the micro-kernels' panel widths (8 and 4 on
+/// base, 16 and 8 on AVX2, 32 and 16 on AVX-512), generic otherwise.
+auto panel_writer(std::int64_t nr) {
+  switch (nr) {
+    case 4: return &write_panels<4>;
+    case 8: return &write_panels<8>;
+    case 16: return &write_panels<16>;
+    case 32: return &write_panels<32>;
+    default: return &write_panels<0>;
+  }
 }
 
 }  // namespace
@@ -120,11 +107,97 @@ void ConvGeometry::validate() const {
                  "conv geometry: kernel larger than padded input");
 }
 
+MaskedShift::MaskedShift(const ConvGeometry& g, std::int64_t panel_cols,
+                         ws::WorkspaceScope& scope)
+    : geometry_(g), panel_cols_(panel_cols) {
+  g.validate();
+  SPLITMED_CHECK(g.whole_plane(), "MaskedShift: geometry is not whole-plane");
+  SPLITMED_CHECK(panel_cols > 0, "MaskedShift: panel_cols must be positive");
+  const std::int64_t h = g.in_h, w = g.in_w, hw = h * w;
+  cols_ = (hw + panel_cols - 1) / panel_cols * panel_cols;
+  // Row (c, kh, kw) reads its margined plane from offset margin + shift =
+  // kh*W + kw, so its highest read, cols_ - 1 + (kernel_h - 1)*W +
+  // kernel_w - 1 = cols_ - 1 + 2*margin_, stays inside the plane.
+  margin_ = g.pad * w + g.pad;
+  plane_stride_ = cols_ + 2 * margin_;
+  // Mask row (kh, kw) keeps pixel p = y*W + x when its shifted read
+  // (y + kh - pad, x + kw - pad) lies inside the plane; the columns past
+  // H*W are zero.
+  const std::span<std::uint32_t> masks =
+      scope.u32s(g.kernel_h * g.kernel_w * cols_);
+  std::fill(masks.begin(), masks.end(), std::uint32_t{0});
+  std::uint32_t* m = masks.data();
+  for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, m += cols_) {
+      const std::int64_t dy = kh - g.pad, dx = kw - g.pad;
+      // A shift as wide as the plane (kernel 5 on a 1-pixel plane) leaves
+      // x0 >= x1: the whole row is padding.
+      const std::int64_t x0 = std::max<std::int64_t>(0, -dx);
+      const std::int64_t x1 = std::min(w, w - dx);
+      for (std::int64_t y = std::max<std::int64_t>(0, -dy);
+           y < std::min(h, h - dy) && x0 < x1; ++y) {
+        std::fill(m + y * w + x0, m + y * w + x1, ~std::uint32_t{0});
+      }
+    }
+  }
+  masks_ = masks.data();
+}
+
+void MaskedShift::fill_margined(std::span<const float> image,
+                                std::span<float> margined) const {
+  const ConvGeometry& g = geometry_;
+  const std::int64_t hw = g.in_h * g.in_w;
+  SPLITMED_CHECK(
+      image.size() >= static_cast<std::size_t>(g.channels * hw) &&
+          margined.size() >= static_cast<std::size_t>(margined_floats()),
+      "MaskedShift: image or margined span too small");
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    float* dst = margined.data() + c * plane_stride_;
+    std::fill(dst, dst + margin_, 0.0F);
+    std::memcpy(dst + margin_, image.data() + c * hw,
+                static_cast<std::size_t>(hw) * sizeof(float));
+    std::fill(dst + margin_ + hw, dst + plane_stride_, 0.0F);
+  }
+}
+
+void MaskedShift::rows(std::span<const float> image, std::span<float> margined,
+                       std::span<float> col) const {
+  const ConvGeometry& g = geometry_;
+  const std::int64_t hw = g.col_cols();
+  SPLITMED_CHECK(col.size() >= static_cast<std::size_t>(g.col_rows() * hw),
+                 "MaskedShift::rows: col span too small");
+  fill_margined(image, margined);
+  float* out = col.data();
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    const float* plane = margined.data() + c * plane_stride_;
+    const std::uint32_t* mask = masks_;
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        masked_copy(plane + kh * g.in_w + kw, mask, out, hw);
+        mask += cols_;
+        out += hw;
+      }
+    }
+  }
+}
+
+void MaskedShift::panels(std::span<const float> image,
+                         std::span<float> margined,
+                         std::span<float> out) const {
+  SPLITMED_CHECK(out.size() >= static_cast<std::size_t>(panel_floats()),
+                 "MaskedShift::panels: panel span too small");
+  fill_margined(image, margined);
+  panel_writer(panel_cols_)(geometry_, margined.data(), plane_stride_, masks_,
+                            cols_, panel_cols_, out.data());
+}
+
 void im2col(const ConvGeometry& g, std::span<const float> image,
             std::span<float> col) {
   if (!g.whole_plane()) return im2col_rows(g, image, col);
   check_spans(g, image.size(), col.size());
-  im2col_planes(g, image.data(), col.data());
+  ws::WorkspaceScope scope;
+  const MaskedShift lowering(g, 1, scope);
+  lowering.rows(image, scope.floats(lowering.margined_floats()), col);
 }
 
 void im2col_rows(const ConvGeometry& g, std::span<const float> image,

@@ -126,6 +126,14 @@ class WorkspaceScope {
             static_cast<std::size_t>(n)};
   }
 
+  /// `n` uint32 scratch slots, 64-byte aligned, UNINITIALIZED (the
+  /// whole-plane conv lowering's lane masks).
+  std::span<std::uint32_t> u32s(std::int64_t n) {
+    const auto f = floats(n);
+    return {reinterpret_cast<std::uint32_t*>(f.data()),
+            static_cast<std::size_t>(n)};
+  }
+
  private:
   Workspace& arena_;
   std::size_t mark_block_;
