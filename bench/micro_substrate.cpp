@@ -1,5 +1,6 @@
 // Micro-benchmarks of the substrates (google-benchmark): GEMM, conv layers,
-// im2col, tensor codec, simulated network send/receive.
+// im2col, max-pool inference, synthetic-image draws, tensor codec,
+// simulated network send/receive.
 //
 // Every benchmark pins the global thread pool explicitly (kernel families
 // and the vgg-mini conv cases to 1 thread, the other layer families to a
@@ -12,12 +13,14 @@
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/core/protocol.hpp"
+#include "src/data/synthetic_cifar.hpp"
 #include "src/net/network.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/linear.hpp"
 #include "src/nn/plan.hpp"
+#include "src/nn/pool.hpp"
 #include "src/nn/sequential.hpp"
 #include "src/serial/tensor_codec.hpp"
 #include "src/tensor/gemm.hpp"
@@ -225,6 +228,42 @@ BENCHMARK(BM_ConvBackward)
       vgg_mini_conv_args(b, true);
     })
     ->UseRealTime();
+
+// vgg-mini's three 2x2 max-pools (after its 16-, 32- and 64-channel convs)
+// on fig4_vgg's 64-sample evaluation batch, through infer's select-based
+// scan. Args {channels, spatial}; one thread, so it is the layer's cost.
+void BM_MaxPoolInfer(benchmark::State& state) {
+  set_global_threads(1);
+  const std::int64_t ch = state.range(0), hw = state.range(1);
+  constexpr std::int64_t kBatch = 64;
+  Rng rng(11);
+  const Tensor x = Tensor::normal(Shape{kBatch, ch, hw, hw}, rng);
+  nn::MaxPool2d pool(2);
+  for (auto _ : state) {
+    Tensor y = pool.infer(x);
+    benchmark::DoNotOptimize(y.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_MaxPoolInfer)->Args({16, 16})->Args({32, 8})->Args({64, 4});
+
+// One SyntheticCifar draw (3 channels, 10 classes, the default noise): the
+// per-example jitter, patch and Box-Muller pixel noise over the class's
+// texture table. Arg: image size (16 is fig4_vgg's).
+void BM_SyntheticImage(benchmark::State& state) {
+  data::SyntheticCifarOptions opt;
+  opt.num_examples = 1024;
+  opt.image_size = state.range(0);
+  const data::SyntheticCifar ds(opt);
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    Tensor img = ds.image(i);
+    benchmark::DoNotOptimize(img.data().data());
+    i = (i + 1) % opt.num_examples;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SyntheticImage)->Arg(16)->Arg(32);
 
 void BM_LinearForward(benchmark::State& state) {
   set_global_threads(kLayerThreads);

@@ -50,6 +50,27 @@ void max_pool_plane(const float* plane, std::int64_t plane_base,
   }
 }
 
+/// max_pool_plane for 2x2 windows at stride 2 without argmax (the infer
+/// path of every vgg-mini pool): the same strict > from -inf in window
+/// order, as a select the compiler turns into a vector max, so NaN,
+/// all-NaN windows (-inf) and +-0.0 ties resolve exactly as there. Output
+/// row y reads input rows 2y and 2y + 1.
+void max_pool_2x2_rows(const float* plane, std::int64_t iw, std::int64_t oh,
+                       std::int64_t ow, float* out) {
+  for (std::int64_t y = 0; y < oh; ++y) {
+    const float* r0 = plane + 2 * y * iw;
+    const float* r1 = r0 + iw;
+    for (std::int64_t x = 0; x < ow; ++x) {
+      float best = -std::numeric_limits<float>::infinity();
+      for (const float v : {r0[2 * x], r0[2 * x + 1], r1[2 * x],
+                            r1[2 * x + 1]}) {
+        best = v > best ? v : best;
+      }
+      out[y * ow + x] = best;
+    }
+  }
+}
+
 /// The window-max scan of MaxPool2d::forward, which records the argmax
 /// indices backward routes through, and of MaxPool2d::infer (argmax null).
 void max_pool(const Tensor& input, Tensor& out, std::int64_t window,
@@ -59,10 +80,22 @@ void max_pool(const Tensor& input, Tensor& out, std::int64_t window,
   const std::int64_t oh = out.shape().dim(2), ow = out.shape().dim(3);
   const float* id = input.data().data();
   float* od = out.data().data();
+  const bool scan_2x2 = argmax == nullptr && window == 2 && stride == 2;
   // Each (batch, channel) plane reads and writes its own slices only.
   parallel_for(0, planes, plane_grain(oh * ow * window * window),
                [&](std::int64_t p0, std::int64_t p1) {
+    if (scan_2x2 && ih == 2 * oh) {
+      // No input row is left between planes, so the run of planes scans as
+      // one plane of (p1 - p0) * oh output rows.
+      max_pool_2x2_rows(id + p0 * ih * iw, iw, (p1 - p0) * oh, ow,
+                        od + p0 * oh * ow);
+      return;
+    }
     for (std::int64_t p = p0; p < p1; ++p) {
+      if (scan_2x2) {
+        max_pool_2x2_rows(id + p * ih * iw, iw, oh, ow, od + p * oh * ow);
+        continue;
+      }
       max_pool_plane(id + p * ih * iw, p * ih * iw, iw, oh, ow, window,
                      stride, od + p * oh * ow,
                      argmax == nullptr ? nullptr : argmax + p * oh * ow);

@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <set>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/data/dataloader.hpp"
 #include "src/data/transforms.hpp"
 #include "src/data/partition.hpp"
@@ -73,6 +76,79 @@ TEST(SyntheticCifar, ClassSignalExceedsNoise) {
     }
   }
   EXPECT_LT(within / nw, between / nb);
+}
+
+/// SyntheticCifar::image as it was written before the texture moved into a
+/// per-class table: the class signature and the per-pixel sine recomputed
+/// for every draw.
+std::vector<float> per_pixel_image(const data::SyntheticCifarOptions& opt,
+                                   std::int64_t i) {
+  const std::int64_t cls = (i + opt.index_offset) % opt.num_classes;
+  Rng sig(opt.seed * 0x9E3779B9ULL + static_cast<std::uint64_t>(cls));
+  std::vector<float> base, freq_x, freq_y, phase;
+  for (std::int64_t ch = 0; ch < opt.channels; ++ch) {
+    base.push_back(sig.uniform(0.2F, 0.8F));
+    freq_x.push_back(sig.uniform(0.5F, 3.0F));
+    freq_y.push_back(sig.uniform(0.5F, 3.0F));
+    phase.push_back(sig.uniform(0.0F, 6.28F));
+  }
+  const float patch_x = sig.uniform(0.2F, 0.8F);
+  const float patch_y = sig.uniform(0.2F, 0.8F);
+  const float patch_intensity = sig.uniform(0.3F, 0.6F);
+
+  const auto virtual_index = static_cast<std::uint64_t>(i + opt.index_offset);
+  Rng rng(opt.seed ^
+          (0xA24BAED4963EE407ULL + virtual_index * 0x9E3779B97F4A7C15ULL));
+  const std::int64_t n = opt.image_size;
+  const float jitter_x = rng.uniform(-0.08F, 0.08F);
+  const float jitter_y = rng.uniform(-0.08F, 0.08F);
+  const float amp = rng.uniform(0.15F, 0.3F);
+  const float patch_half = rng.uniform(0.10F, 0.16F);
+  const float px = (patch_x + jitter_x) * static_cast<float>(n);
+  const float py = (patch_y + jitter_y) * static_cast<float>(n);
+  const float ph = patch_half * static_cast<float>(n);
+  const float two_pi_over_n = 6.28318530718F / static_cast<float>(n);
+  std::vector<float> out(static_cast<std::size_t>(opt.channels * n * n));
+  for (std::int64_t ch = 0; ch < opt.channels; ++ch) {
+    const auto c = static_cast<std::size_t>(ch);
+    for (std::int64_t y = 0; y < n; ++y) {
+      for (std::int64_t x = 0; x < n; ++x) {
+        float v = base[c] +
+                  amp * std::sin(two_pi_over_n *
+                                     (freq_x[c] * static_cast<float>(x) +
+                                      freq_y[c] * static_cast<float>(y)) +
+                                 phase[c]);
+        if (std::abs(static_cast<float>(x) - px) < ph &&
+            std::abs(static_cast<float>(y) - py) < ph) {
+          v += patch_intensity;
+        }
+        v += opt.noise_stddev * rng.normal();
+        out[static_cast<std::size_t>((ch * n + y) * n + x)] = v;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SyntheticCifar, ImagesMatchPerPixelSynthesisBitwise) {
+  for (const std::int64_t size : {8, 16, 32}) {
+    data::SyntheticCifarOptions opt;
+    opt.num_examples = 40;
+    opt.num_classes = 7;
+    opt.image_size = size;
+    opt.seed = 1234 + static_cast<std::uint64_t>(size);
+    opt.index_offset = 5;
+    const data::SyntheticCifar ds(opt);
+    for (const std::int64_t i : {0, 1, 2, 6, 13, 27, 39}) {
+      const Tensor img = ds.image(i);
+      const std::vector<float> want = per_pixel_image(opt, i);
+      ASSERT_EQ(img.numel(), static_cast<std::int64_t>(want.size()));
+      EXPECT_EQ(std::memcmp(img.data().data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "size " << size << " index " << i << " class " << ds.label(i);
+    }
+  }
 }
 
 TEST(SyntheticCifar, IndexOutOfRangeThrows) {

@@ -3,6 +3,7 @@
 // nn_gradcheck_test.cpp.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -218,6 +219,66 @@ TEST(MaxPool2d, WindowWithoutMaximumKeepsGradientInItsPlane) {
                         grads[0].size() * sizeof(float)),
             0)
       << "MaxPool2d backward differs between 1 and 3 threads";
+}
+
+TEST(MaxPool2d, InferMatchesForwardOnSpecialWindowsBitwise) {
+  // infer's 2x2/stride-2 scan must resolve NaN, all-NaN windows (-inf),
+  // +-0.0 ties and -inf exactly as forward's argmax scan: every window is
+  // compared bit for bit at every position, at 1 and 3 threads.
+  const float nan1 = std::bit_cast<float>(0x7FC00001U);
+  const float nan2 = std::bit_cast<float>(0xFFC12345U);
+  const float snan = std::bit_cast<float>(0x7F800003U);
+  const float inf = std::numeric_limits<float>::infinity();
+  // Each group of four is one window, in scan order (top-left, top-right,
+  // bottom-left, bottom-right).
+  const std::vector<std::vector<float>> windows = {
+      {nan1, 1.0F, 2.0F, 3.0F},    {1.0F, nan2, 5.0F, 2.0F},
+      {2.0F, 1.0F, 0.5F, snan},    {nan1, nan2, snan, nan1},
+      {-0.0F, 0.0F, -0.0F, 0.0F},  {0.0F, -0.0F, 0.0F, -0.0F},
+      {-inf, -inf, -inf, -inf},    {-inf, nan1, -inf, nan2},
+      {nan2, -inf, -0.0F, 0.0F},   {inf, nan1, 1.0F, inf},
+      {-1.0F, -2.0F, -0.5F, -3.0F}, {0.0F, -1.0F, nan1, -0.0F}};
+  const std::int64_t ow = static_cast<std::int64_t>(windows.size());
+  const std::int64_t batch = 3, ch = 5, iw = 2 * ow;
+  // An odd height leaves a row of +inf between planes that no window may
+  // read (the scan takes its per-plane path there).
+  for (const std::int64_t ih : {2, 3}) {
+    Tensor x = Tensor::full(Shape{batch, ch, ih, iw}, inf);
+    auto xd = x.data();
+    for (std::int64_t p = 0; p < batch * ch; ++p) {
+      for (std::int64_t w = 0; w < ow; ++w) {
+        // Rotate the windows per plane so each sits at every position.
+        const auto& v = windows[static_cast<std::size_t>((w + p) % ow)];
+        float* plane = xd.data() + p * ih * iw;
+        plane[2 * w] = v[0];
+        plane[2 * w + 1] = v[1];
+        plane[iw + 2 * w] = v[2];
+        plane[iw + 2 * w + 1] = v[3];
+      }
+    }
+    for (const int threads : {1, 3}) {
+      set_global_threads(threads);
+      nn::MaxPool2d pool(2);
+      const Tensor want = pool.forward(x, false);
+      const Tensor got = pool.infer(x);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                            got.data().size_bytes()),
+                0)
+          << "height " << ih << " threads " << threads;
+      // Spot-check the resolutions themselves on plane 0.
+      const auto bits = [&](std::int64_t w) {
+        return std::bit_cast<std::uint32_t>(got[static_cast<std::size_t>(w)]);
+      };
+      EXPECT_EQ(got[0], 3.0F);
+      EXPECT_EQ(bits(3), std::bit_cast<std::uint32_t>(-inf));  // all NaN
+      EXPECT_EQ(bits(4), std::bit_cast<std::uint32_t>(-0.0F));  // first zero
+      EXPECT_EQ(bits(5), std::bit_cast<std::uint32_t>(0.0F));
+      EXPECT_EQ(bits(7), std::bit_cast<std::uint32_t>(-inf));
+      EXPECT_EQ(got[9], inf);
+    }
+  }
+  set_global_threads(0);
 }
 
 TEST(MaxPool2d, WindowTooLargeThrows) {
