@@ -19,6 +19,7 @@ constexpr std::int64_t kEvalBatch = 64;
 float Baseline::train_minibatch(nn::Sequential& net, data::DataLoader& loader,
                                 optim::Optimizer* opt) {
   const data::Batch batch = loader.next_batch();
+  examples_drawn_ += static_cast<std::int64_t>(batch.labels.size());
   net.zero_grad();
   nn::SoftmaxCrossEntropy loss_fn;
   const float loss =
@@ -79,7 +80,7 @@ metrics::TrainReport Baseline::run() {
       }
       metrics::CurvePoint point;
       point.step = step;
-      point.epoch = static_cast<double>(step * step_examples()) /
+      point.epoch = static_cast<double>(examples_drawn_) /
                     static_cast<double>(train_->size());
       point.cumulative_bytes = network_.stats().total_bytes();
       point.sim_seconds = network_.clock().now();

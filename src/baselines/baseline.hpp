@@ -54,7 +54,8 @@ class Baseline {
   /// Runs config.steps steps, stopping early at the step that spends the
   /// byte budget. A curve point is recorded every eval_every steps, at the
   /// last step and at the step that spends the budget; its accuracy is the
-  /// mean over the replicas.
+  /// mean over the replicas, its epoch the examples drawn so far over
+  /// |train|.
   metrics::TrainReport run();
 
   [[nodiscard]] net::Network& network() { return network_; }
@@ -67,9 +68,10 @@ class Baseline {
 
   /// One SGD minibatch on `net`: zero_grad, forward, softmax cross-entropy,
   /// backward, then `opt->step()` unless `opt` is null (the caller applies
-  /// the gradient). Returns the minibatch loss.
-  static float train_minibatch(nn::Sequential& net, data::DataLoader& loader,
-                               optim::Optimizer* opt);
+  /// the gradient). Adds the batch's rows to the examples drawn, which the
+  /// curve's epoch counts. Returns the minibatch loss.
+  float train_minibatch(nn::Sequential& net, data::DataLoader& loader,
+                        optim::Optimizer* opt);
 
   /// Builds `replicas` models with `builder` after applying config.threads.
   /// Throws InvalidArgument unless config.eval_every is positive.
@@ -80,10 +82,6 @@ class Baseline {
   /// One step (a round for FedAvg, a cycle for cyclic): trains and moves
   /// this protocol's bytes. Returns the step's mean minibatch loss.
   virtual double train_step(std::int64_t step) = 0;
-  /// Training examples one step consumes (the curve's epoch counts these).
-  [[nodiscard]] virtual std::int64_t step_examples() const {
-    return config_.total_batch;
-  }
 
   /// Appends one loader per shard: shard p draws batches[p] examples from
   /// Rng(kLoaderSeed).split(p). Every shard must be non-empty.
@@ -105,6 +103,8 @@ class Baseline {
 
  private:
   std::string protocol_;
+  /// Training examples every train_minibatch so far has drawn.
+  std::int64_t examples_drawn_ = 0;
 };
 
 }  // namespace splitmed::baselines

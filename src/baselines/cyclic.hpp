@@ -23,9 +23,6 @@ class CyclicTrainer : public Baseline {
 
  private:
   double train_step(std::int64_t cycle) override;
-  [[nodiscard]] std::int64_t step_examples() const override {
-    return config_.local_steps * config_.total_batch;
-  }
 
   std::vector<NodeId> ring_;  // platform nodes in visit order
 };

@@ -25,9 +25,6 @@ class FedAvgTrainer : public Baseline {
 
  private:
   double train_step(std::int64_t round) override;
-  [[nodiscard]] std::int64_t step_examples() const override {
-    return config_.local_steps * config_.total_batch;
-  }
 
   net::StarTopology topology_;
   std::vector<double> shard_weights_;  // |D_k| / N

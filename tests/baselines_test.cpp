@@ -234,15 +234,15 @@ TEST(Cyclic, NeedsAtLeastTwoPlatforms) {
 }
 
 // Exact pins of every comparator's report on the tiny fixtures above: each
-// curve point's step, epoch, bytes, sim clock, loss and accuracy as exact
-// doubles, the run totals, and an FNV-1a hash of the final parameters. The
+// curve point's step, epoch (the examples the loaders returned so far over
+// |train|), bytes, sim clock, loss and accuracy as exact doubles, the run totals, and an FNV-1a hash of the final parameters. The
 // tests above only check accuracy floors and byte totals; these catch a
 // changed loss series, RNG stream, minibatch split or curve-point rule.
 // On mismatch the actual values are printed in copy-pasteable form.
 
 struct BaselineGolden {
   std::vector<std::int64_t> steps;
-  std::vector<double> epoch;  ///< not pinned for local-only (empty)
+  std::vector<double> epoch;
   std::vector<std::uint64_t> bytes;
   std::vector<double> sim_seconds;
   std::vector<double> loss;
@@ -266,12 +266,12 @@ std::uint64_t parameter_fingerprint(nn::Sequential& net) {
   return h;
 }
 
-BaselineGolden golden_of(const metrics::TrainReport& report, bool with_epoch,
+BaselineGolden golden_of(const metrics::TrainReport& report,
                          std::uint64_t params) {
   BaselineGolden out;
   for (const auto& p : report.curve) {
     out.steps.push_back(p.step);
-    if (with_epoch) out.epoch.push_back(p.epoch);
+    out.epoch.push_back(p.epoch);
     out.bytes.push_back(p.cumulative_bytes);
     out.sim_seconds.push_back(p.sim_seconds);
     out.loss.push_back(p.train_loss);
@@ -292,9 +292,9 @@ void print_list(std::ostream& os, const std::vector<T>& values) {
   os << "}";
 }
 
-void expect_golden(const metrics::TrainReport& report, bool with_epoch,
-                   std::uint64_t params, const BaselineGolden& want) {
-  const BaselineGolden got = golden_of(report, with_epoch, params);
+void expect_golden(const metrics::TrainReport& report, std::uint64_t params,
+                   const BaselineGolden& want) {
+  const BaselineGolden got = golden_of(report, params);
   EXPECT_EQ(got.steps, want.steps);
   EXPECT_EQ(got.epoch, want.epoch);
   EXPECT_EQ(got.bytes, want.bytes);
@@ -329,7 +329,7 @@ void expect_golden(const metrics::TrainReport& report, bool with_epoch,
 
 const BaselineGolden kGoldenSyncSgd = {
     {2, 4, 5},
-    {0.5, 1, 1.25},
+    {0.5, 0.96875, 1.09375},
     {1595040, 3190080, 3987600},
     {0.13397610666666665, 0.26795221333333336, 0.33494026666666682},
     {1.9031414985656738, 1.0142861207326253, 1.3900634447733562},
@@ -345,7 +345,7 @@ const BaselineGolden kGoldenSyncSgdBudget = {
     1595040, 0.095013759999999975, 14445479570963293061ULL};
 const BaselineGolden kGoldenFedAvg = {
     {2, 3},
-    {1, 1.5},
+    {0.9375, 1.234375},
     {1595040, 2392560},
     {0.13397610666666668, 0.20096416000000006},
     {1.1629590094089508, 1.1264196634292603},
@@ -353,7 +353,7 @@ const BaselineGolden kGoldenFedAvg = {
     2392560, 0.20096416000000006, 2508871274537103685ULL};
 const BaselineGolden kGoldenCyclic = {
     {2, 3},
-    {1.3333333333333333, 2},
+    {1.1041666666666667, 1.625},
     {797520, 1196280},
     {0.066988053333333325, 0.10048207999999999},
     {0.83993261059125268, 0.71903991202513373},
@@ -369,7 +369,7 @@ const BaselineGolden kGoldenCentralized = {
     0, 0, 7012027741596073226ULL};
 const BaselineGolden kGoldenLocalOnly = {
     {2, 4, 5},
-    {},
+    {0.58333333333333337, 1.1041666666666667, 1.3958333333333333},
     {0, 0, 0},
     {0, 0, 0},
     {1.5295559565226238, 1.0294077793757122, 0.7969990074634552},
@@ -379,6 +379,8 @@ const std::vector<double> kGoldenLocalOnlyPlatforms = {0.5625, 0.4375, 0.25};
 
 TEST(GoldenBaselines, SyncSgdMatchesFingerprint) {
   // K=3 at total_batch 16: workers draw 6/5/5 (the remainder goes first).
+  // The shards' first passes end in short batches at step 4 (4 + 5 + 5
+  // examples) and step 5 (6 + 1 + 1), so step 4 is epoch 62/64.
   const auto train = make_dataset(64);
   const auto test = make_dataset(16);
   Rng prng(2);
@@ -389,7 +391,7 @@ TEST(GoldenBaselines, SyncSgdMatchesFingerprint) {
   baselines::SyncSgdTrainer trainer(builder(), train, partition, test, cfg);
   const auto report = trainer.run();
   EXPECT_EQ(report.protocol, "sync-sgd");
-  expect_golden(report, true, parameter_fingerprint(trainer.model()),
+  expect_golden(report, parameter_fingerprint(trainer.model()),
                 kGoldenSyncSgd);
 }
 
@@ -409,7 +411,7 @@ TEST(GoldenBaselines, BudgetStoppedSyncSgdMatchesFingerprint) {
   baselines::SyncSgdTrainer trainer(builder(), train, partition, test, cfg);
   const auto report = trainer.run();
   EXPECT_EQ(report.steps_completed, 3);
-  expect_golden(report, true, parameter_fingerprint(trainer.model()),
+  expect_golden(report, parameter_fingerprint(trainer.model()),
                 kGoldenSyncSgdBudget);
 }
 
@@ -425,13 +427,14 @@ TEST(GoldenBaselines, FedAvgMatchesFingerprint) {
   baselines::FedAvgTrainer trainer(builder(), train, partition, test, cfg);
   const auto report = trainer.run();
   EXPECT_EQ(report.protocol, "fedavg");
-  expect_golden(report, true, parameter_fingerprint(trainer.model()),
+  expect_golden(report, parameter_fingerprint(trainer.model()),
                 kGoldenFedAvg);
 }
 
 TEST(GoldenBaselines, CyclicMatchesFingerprint) {
   // The weighted shards leave the smallest one below the local batch, so a
-  // visit there draws its whole shard.
+  // visit there draws its whole shard: cycle 2 draws 20 + 17 + 16 of the
+  // 32/12/4 shards at batch 5, epoch 53/48.
   const auto train = make_dataset(48);
   const auto test = make_dataset(16);
   Rng prng(6);
@@ -445,7 +448,7 @@ TEST(GoldenBaselines, CyclicMatchesFingerprint) {
   baselines::CyclicTrainer trainer(builder(), train, partition, test, cfg);
   const auto report = trainer.run();
   EXPECT_EQ(report.protocol, "cyclic");
-  expect_golden(report, true, parameter_fingerprint(trainer.model()),
+  expect_golden(report, parameter_fingerprint(trainer.model()),
                 kGoldenCyclic);
 }
 
@@ -458,7 +461,7 @@ TEST(GoldenBaselines, CentralizedMatchesFingerprint) {
   baselines::CentralizedTrainer trainer(builder(), train, test, cfg);
   const auto report = trainer.run();
   EXPECT_EQ(report.protocol, "centralized");
-  expect_golden(report, true, parameter_fingerprint(trainer.model()),
+  expect_golden(report, parameter_fingerprint(trainer.model()),
                 kGoldenCentralized);
 }
 
@@ -477,7 +480,7 @@ TEST(GoldenBaselines, LocalOnlyMatchesFingerprint) {
   baselines::LocalOnlyTrainer trainer(builder(), train, partition, test, cfg);
   const auto report = trainer.run();
   EXPECT_EQ(report.combined.protocol, "local-only");
-  expect_golden(report.combined, false, 0, kGoldenLocalOnly);
+  expect_golden(report.combined, 0, kGoldenLocalOnly);
   EXPECT_EQ(report.platform_accuracy, kGoldenLocalOnlyPlatforms);
   EXPECT_EQ(report.min_accuracy,
             *std::min_element(kGoldenLocalOnlyPlatforms.begin(),
