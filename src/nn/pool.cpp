@@ -80,22 +80,19 @@ void max_pool(const Tensor& input, Tensor& out, std::int64_t window,
   const std::int64_t oh = out.shape().dim(2), ow = out.shape().dim(3);
   const float* id = input.data().data();
   float* od = out.data().data();
-  const bool scan_2x2 = argmax == nullptr && window == 2 && stride == 2;
+  // No input row is left between planes, so a run of planes scans as one
+  // plane of (p1 - p0) * oh output rows.
+  const bool scan_2x2 =
+      argmax == nullptr && window == 2 && stride == 2 && ih == 2 * oh;
   // Each (batch, channel) plane reads and writes its own slices only.
   parallel_for(0, planes, plane_grain(oh * ow * window * window),
                [&](std::int64_t p0, std::int64_t p1) {
-    if (scan_2x2 && ih == 2 * oh) {
-      // No input row is left between planes, so the run of planes scans as
-      // one plane of (p1 - p0) * oh output rows.
+    if (scan_2x2) {
       max_pool_2x2_rows(id + p0 * ih * iw, iw, (p1 - p0) * oh, ow,
                         od + p0 * oh * ow);
       return;
     }
     for (std::int64_t p = p0; p < p1; ++p) {
-      if (scan_2x2) {
-        max_pool_2x2_rows(id + p * ih * iw, iw, oh, ow, od + p * oh * ow);
-        continue;
-      }
       max_pool_plane(id + p * ih * iw, p * ih * iw, iw, oh, ow, window,
                      stride, od + p * oh * ow,
                      argmax == nullptr ? nullptr : argmax + p * oh * ow);

@@ -241,7 +241,8 @@ TEST(MaxPool2d, InferMatchesForwardOnSpecialWindowsBitwise) {
   const std::int64_t ow = static_cast<std::int64_t>(windows.size());
   const std::int64_t batch = 3, ch = 5, iw = 2 * ow;
   // An odd height leaves a row of +inf between planes that no window may
-  // read (the scan takes its per-plane path there).
+  // read: infer scans such planes with the general scan, so only height 2
+  // takes the 2x2 scan over a run of planes.
   for (const std::int64_t ih : {2, 3}) {
     Tensor x = Tensor::full(Shape{batch, ch, ih, iw}, inf);
     auto xd = x.data();
