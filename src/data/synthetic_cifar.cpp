@@ -28,34 +28,27 @@ SyntheticCifar::SyntheticCifar(SyntheticCifarOptions options)
     sig.patch_intensity = rng.uniform(0.3F, 0.6F);
     signatures_.push_back(std::move(sig));
   }
-}
-
-const std::vector<float>& SyntheticCifar::texture() const {
   // image() reads the texture from this table instead of calling sin per
   // pixel of every draw: the same expression, so the same floats.
-  TextureTable& table = *texture_;
-  std::call_once(table.once, [&] {
-    const std::int64_t n = options_.image_size;
-    const float two_pi_over_n = 6.28318530718F / static_cast<float>(n);
-    table.values.resize(static_cast<std::size_t>(options_.num_classes *
-                                                 options_.channels * n * n));
-    float* t = table.values.data();
-    for (const ClassSignature& sig : signatures_) {
-      for (std::int64_t ch = 0; ch < options_.channels; ++ch) {
-        const float fx = sig.freq_x[static_cast<std::size_t>(ch)];
-        const float fy = sig.freq_y[static_cast<std::size_t>(ch)];
-        const float phase = sig.phase[static_cast<std::size_t>(ch)];
-        for (std::int64_t y = 0; y < n; ++y) {
-          for (std::int64_t x = 0; x < n; ++x) {
-            *t++ = std::sin(two_pi_over_n * (fx * static_cast<float>(x) +
-                                             fy * static_cast<float>(y)) +
-                            phase);
-          }
+  const std::int64_t n = options_.image_size;
+  const float two_pi_over_n = 6.28318530718F / static_cast<float>(n);
+  texture_.resize(static_cast<std::size_t>(options_.num_classes *
+                                           options_.channels * n * n));
+  float* t = texture_.data();
+  for (const ClassSignature& sig : signatures_) {
+    for (std::int64_t ch = 0; ch < options_.channels; ++ch) {
+      const float fx = sig.freq_x[static_cast<std::size_t>(ch)];
+      const float fy = sig.freq_y[static_cast<std::size_t>(ch)];
+      const float phase = sig.phase[static_cast<std::size_t>(ch)];
+      for (std::int64_t y = 0; y < n; ++y) {
+        for (std::int64_t x = 0; x < n; ++x) {
+          *t++ = std::sin(two_pi_over_n * (fx * static_cast<float>(x) +
+                                           fy * static_cast<float>(y)) +
+                          phase);
         }
       }
     }
-  });
-  return table.values;
+  }
 }
 
 Shape SyntheticCifar::image_shape() const {
@@ -90,7 +83,7 @@ Tensor SyntheticCifar::image(std::int64_t i) const {
   const float py = (sig.patch_y + jitter_y) * static_cast<float>(n);
   const float ph = patch_half * static_cast<float>(n);
 
-  const float* wave_table = texture().data() + cls * options_.channels * n * n;
+  const float* wave_table = texture_.data() + cls * options_.channels * n * n;
   for (std::int64_t ch = 0; ch < options_.channels; ++ch) {
     float* plane = d.data() + ch * n * n;
     const float* wave = wave_table + ch * n * n;

@@ -12,8 +12,6 @@
 // noise, so the task is non-trivial but solvable by small conv nets.
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/data/dataset.hpp"
@@ -59,21 +57,12 @@ class SyntheticCifar final : public Dataset {
     float patch_intensity = 0.0F;
   };
 
-  /// The texture table, built by the first call rather than the
-  /// constructor, so building a dataset stays cheap.
-  [[nodiscard]] const std::vector<float>& texture() const;
-
-  /// sin(2π/n·(fx·x + fy·y) + phase) per (class, channel, pixel): the
-  /// texture term of image(), which depends on nothing an example draws.
-  /// classes × channels × size² floats. Copies of a dataset share it.
-  struct TextureTable {
-    std::once_flag once;
-    std::vector<float> values;
-  };
-
   SyntheticCifarOptions options_;
   std::vector<ClassSignature> signatures_;
-  std::shared_ptr<TextureTable> texture_ = std::make_shared<TextureTable>();
+  /// sin(2π/n·(fx·x + fy·y) + phase) per (class, channel, pixel): the
+  /// texture term of image(), which depends on nothing an example draws.
+  /// classes × channels × size² floats.
+  std::vector<float> texture_;
 };
 
 }  // namespace splitmed::data
