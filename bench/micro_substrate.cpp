@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrates (google-benchmark): GEMM, conv layers,
-// im2col, max-pool inference, synthetic-image draws, tensor codec,
-// simulated network send/receive.
+// the whole-plane conv lowering, max-pool inference, synthetic-image draws,
+// tensor codec, simulated network send/receive.
 //
 // Every benchmark pins the global thread pool explicitly (kernel families
 // and the vgg-mini conv cases to 1 thread, the other layer families to a
@@ -148,18 +148,24 @@ BENCHMARK(BM_GemmNT)
     ->Args({32, 512, 512})    // linear forward, batch 32
     ->Args({64, 576, 1024});  // conv dW for the 3x3/64ch layer
 
-void BM_Im2col(benchmark::State& state) {
+// One image's whole-plane column rows (16 channels at 32x32, 3x3/pad 1),
+// as the conv weight gradient lowers each sample. The masks are built once,
+// outside the loop, as Conv2d builds them once per layer call.
+void BM_MaskedShiftRows(benchmark::State& state) {
   set_global_threads(kKernelThreads);
-  ConvGeometry g{16, 32, 32, 3, 3, 1, 1};
+  const ConvGeometry g{16, 32, 32, 3, 3, 1, 1};
   Rng rng(2);
   const Tensor img = Tensor::normal(Shape{16, 32, 32}, rng);
   std::vector<float> col(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+  ws::WorkspaceScope scope;
+  const MaskedShift lowering(g, /*panel_cols=*/1, scope);
+  const std::span<float> margined = scope.floats(lowering.margined_floats());
   for (auto _ : state) {
-    im2col(g, img.data(), col);
+    lowering.rows(img.data(), margined, col);
     benchmark::DoNotOptimize(col.data());
   }
 }
-BENCHMARK(BM_Im2col);
+BENCHMARK(BM_MaskedShiftRows);
 
 // Conv layers. Args: {in_channels, out_channels, spatial, batch, threads}
 // (+ {input_grad} for backward). Besides the original 4-thread cases, each

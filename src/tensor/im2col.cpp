@@ -43,9 +43,9 @@ std::int64_t channel_grain(const ConvGeometry& g) {
 void check_spans(const ConvGeometry& g, std::size_t image, std::size_t col) {
   SPLITMED_CHECK(
       image >= static_cast<std::size_t>(g.channels * g.in_h * g.in_w),
-                 "im2col/col2im: image span too small");
+                 "im2col_rows/col2im: image span too small");
   SPLITMED_CHECK(col >= static_cast<std::size_t>(g.col_rows() * g.col_cols()),
-                 "im2col/col2im: col span too small");
+                 "im2col_rows/col2im: col span too small");
 }
 
 /// dst[i] = bits(src[i]) & mask[i] for i in [0, n): the one body behind
@@ -189,15 +189,6 @@ void MaskedShift::panels(std::span<const float> image,
   fill_margined(image, margined);
   panel_writer(panel_cols_)(geometry_, margined.data(), plane_stride_, masks_,
                             cols_, panel_cols_, out.data());
-}
-
-void im2col(const ConvGeometry& g, std::span<const float> image,
-            std::span<float> col) {
-  if (!g.whole_plane()) return im2col_rows(g, image, col);
-  check_spans(g, image.size(), col.size());
-  ws::WorkspaceScope scope;
-  const MaskedShift lowering(g, 1, scope);
-  lowering.rows(image, scope.floats(lowering.margined_floats()), col);
 }
 
 void im2col_rows(const ConvGeometry& g, std::span<const float> image,

@@ -1,8 +1,9 @@
 // im2col / col2im lowering for convolutions.
 //
-// Conv2d forward is im2col + GEMM (for whole-plane geometries, MaskedShift
-// written straight into the GEMM's B panels); its backward passes are
-// GEMMs + col2im and, for the weight gradient, im2col + GEMM.
+// Conv2d forward is a lowering + GEMM (for whole-plane geometries,
+// MaskedShift written straight into the GEMM's B panels, else im2col_rows);
+// its backward passes are GEMMs + col2im and, for the weight gradient, the
+// same lowering's column rows + GEMM.
 // Layout: images are NCHW; the column matrix is
 // [C*kh*kw, out_h*out_w] per image (one image at a time keeps the working set
 // small on the single-core simulator).
@@ -102,12 +103,6 @@ class MaskedShift {
   const std::uint32_t* masks_ = nullptr;  ///< kernel_h*kernel_w rows of cols_
 };
 
-/// image: CHW contiguous (channels*in_h*in_w floats);
-/// col: col_rows()*col_cols() floats, overwritten. Whole-plane geometries
-/// take MaskedShift::rows, the rest im2col_rows; both write identical bits.
-void im2col(const ConvGeometry& g, std::span<const float> image,
-            std::span<float> col);
-
 /// Inverse scatter-add: accumulates col back into image (image must be
 /// zeroed by the caller when a fresh gradient is wanted), row by row for
 /// every geometry; each image element receives its (kh, kw) contributions
@@ -115,9 +110,10 @@ void im2col(const ConvGeometry& g, std::span<const float> image,
 void col2im(const ConvGeometry& g, std::span<const float> col,
             std::span<float> image);
 
-/// The row-wise lowering, valid for every geometry: the path im2col takes
-/// when !g.whole_plane(), and the reference the whole-plane path is tested
-/// against.
+/// The row-wise lowering, valid for every geometry: Conv2d's lowering when
+/// !g.whole_plane(), and the reference MaskedShift is tested against.
+/// image: CHW contiguous (channels*in_h*in_w floats); col: col_rows()*
+/// col_cols() floats, overwritten.
 void im2col_rows(const ConvGeometry& g, std::span<const float> image,
                  std::span<float> col);
 

@@ -163,9 +163,19 @@ TEST(ConvLowering, LayerMatchesRowWiseReferenceBitwise) {
   EXPECT_GT(checked, 700);
 }
 
+/// MaskedShift's column rows for one image, its masks built for this call
+/// alone (Conv2d builds them once per layer call).
+void masked_rows(const ConvGeometry& g, std::span<const float> image,
+                 std::span<float> col) {
+  ws::WorkspaceScope scope;
+  const MaskedShift lowering(g, /*panel_cols=*/1, scope);
+  lowering.rows(image, scope.floats(lowering.margined_floats()), col);
+}
+
 TEST(ConvLowering, WholePlaneMatchesRowWiseBitwise) {
-  // Every whole-plane geometry of the sweep: im2col writes the same bits as
-  // the row-wise loop, over a col buffer that held other values.
+  // Every whole-plane geometry of the sweep: MaskedShift::rows writes the
+  // same bits as the row-wise loop, over a col buffer that held other
+  // values.
   PoolGuard guard;
   std::int64_t planes = 0;
   for (const int threads : {1, 3}) {
@@ -180,10 +190,10 @@ TEST(ConvLowering, WholePlaneMatchesRowWiseBitwise) {
           std::vector<float> col(
               static_cast<std::size_t>(g.col_rows() * g.col_cols()), -7.0F);
           std::vector<float> col_rows_out(col.size(), 5.0F);
-          im2col(g, image.data(), col);
+          masked_rows(g, image.data(), col);
           im2col_rows(g, image.data(), col_rows_out);
           EXPECT_TRUE(same_bits(col, col_rows_out))
-              << "im2col k" << k << " p" << pad << " hw" << hw;
+              << "rows k" << k << " p" << pad << " hw" << hw;
           ++planes;
         }
       }
@@ -238,7 +248,8 @@ std::vector<float> row_wise_forward(const ConvGeometry& g, const Tensor& x,
 TEST(ConvLowering, SpecialValuesKeepTheirBits) {
   // The masked shift is bit movement: NaN payloads (a signalling one
   // included), -0.0 and +-Inf must reach the GEMM exactly as the row-wise
-  // lowering delivers them, in forward, forward_fused, infer and im2col.
+  // lowering delivers them, in forward, forward_fused, infer and the
+  // column rows the weight gradient reads.
   PoolGuard guard;
   std::int64_t checked = 0;
   for (const int threads : {1, 3}) {
@@ -278,9 +289,9 @@ TEST(ConvLowering, SpecialValuesKeepTheirBits) {
           for (std::int64_t b = 0; b < batch; ++b) {
             const auto xb = x.data().subspan(static_cast<std::size_t>(b * image),
                                              static_cast<std::size_t>(image));
-            im2col(g, xb, col);
+            masked_rows(g, xb, col);
             im2col_rows(g, xb, col_ref);
-            EXPECT_TRUE(same_bits(col, col_ref)) << "im2col " << at;
+            EXPECT_TRUE(same_bits(col, col_ref)) << "rows " << at;
           }
           ++checked;
           if (::testing::Test::HasFailure()) return;

@@ -1,6 +1,7 @@
-// Tests for tensor/im2col.hpp: geometry, known lowering results, and the
-// adjointness property <im2col(x), y> == <x, col2im(y)> that conv backward
-// relies on.
+// Tests for tensor/im2col.hpp: geometry, known lowering results (row-wise,
+// and MaskedShift's rows wherever the geometry is whole-plane), and the
+// adjointness property <im2col_rows(x), y> == <x, col2im(y)> that conv
+// backward relies on.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,9 +9,25 @@
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/tensor/im2col.hpp"
+#include "src/tensor/workspace.hpp"
 
 namespace splitmed {
 namespace {
+
+/// The column matrix of img by im2col_rows; a whole-plane geometry's
+/// MaskedShift rows must hold the same values.
+std::vector<float> lower(const ConvGeometry& g, const std::vector<float>& img) {
+  std::vector<float> col(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+  im2col_rows(g, img, col);
+  if (g.whole_plane()) {
+    ws::WorkspaceScope scope;
+    const MaskedShift lowering(g, /*panel_cols=*/1, scope);
+    std::vector<float> masked(col.size(), -1.0F);
+    lowering.rows(img, scope.floats(lowering.margined_floats()), masked);
+    EXPECT_EQ(masked, col) << "MaskedShift::rows";
+  }
+  return col;
+}
 
 TEST(ConvGeometry, OutputDims) {
   ConvGeometry g{3, 32, 32, 3, 3, 1, 1};
@@ -36,9 +53,7 @@ TEST(Im2col, Identity1x1Kernel) {
   ConvGeometry g{2, 3, 3, 1, 1, 1, 0};
   std::vector<float> img(18);
   for (std::size_t i = 0; i < img.size(); ++i) img[i] = static_cast<float>(i);
-  std::vector<float> col(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  im2col(g, img, col);
-  for (std::size_t i = 0; i < img.size(); ++i) EXPECT_EQ(col[i], img[i]);
+  EXPECT_EQ(lower(g, img), img);
 }
 
 TEST(Im2col, KnownSmallCase) {
@@ -46,17 +61,15 @@ TEST(Im2col, KnownSmallCase) {
   // the whole image in kernel order.
   ConvGeometry g{1, 2, 2, 2, 2, 1, 0};
   const std::vector<float> img = {1, 2, 3, 4};
-  std::vector<float> col(4);
-  im2col(g, img, col);
-  EXPECT_EQ(col, (std::vector<float>{1, 2, 3, 4}));
+  EXPECT_EQ(lower(g, img), (std::vector<float>{1, 2, 3, 4}));
 }
 
 TEST(Im2col, PaddingProducesZeros) {
   // 1x1 image, 3x3 kernel, pad 1: only the center tap sees the pixel.
   ConvGeometry g{1, 1, 1, 3, 3, 1, 1};
   const std::vector<float> img = {5.0F};
-  std::vector<float> col(9);
-  im2col(g, img, col);
+  const std::vector<float> col = lower(g, img);
+  ASSERT_EQ(col.size(), 9U);
   for (std::size_t r = 0; r < 9; ++r) {
     EXPECT_EQ(col[r], r == 4 ? 5.0F : 0.0F) << "tap " << r;
   }
@@ -76,8 +89,8 @@ TEST(Col2im, AccumulatesOverlaps) {
 }
 
 TEST(Col2imAdjoint, InnerProductIdentity) {
-  // <im2col(x), y> == <x, col2im(y)> for random x, y — exactly the identity
-  // that makes conv's input-gradient correct.
+  // <im2col_rows(x), y> == <x, col2im(y)> for random x, y — exactly the
+  // identity that makes conv's input-gradient correct.
   const ConvGeometry g{3, 7, 6, 3, 3, 2, 1};
   Rng rng(77);
   std::vector<float> x(static_cast<std::size_t>(g.channels * g.in_h * g.in_w));
@@ -86,7 +99,7 @@ TEST(Col2imAdjoint, InnerProductIdentity) {
   for (auto& v : y) v = rng.normal();
 
   std::vector<float> cx(y.size());
-  im2col(g, x, cx);
+  im2col_rows(g, x, cx);
   std::vector<float> ay(x.size(), 0.0F);
   col2im(g, y, ay);
 
@@ -100,7 +113,7 @@ TEST(Im2col, RejectsTooSmallSpans) {
   ConvGeometry g{1, 4, 4, 3, 3, 1, 0};
   std::vector<float> img(15);  // needs 16
   std::vector<float> col(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  EXPECT_THROW(im2col(g, img, col), InvalidArgument);
+  EXPECT_THROW(im2col_rows(g, img, col), InvalidArgument);
 }
 
 }  // namespace

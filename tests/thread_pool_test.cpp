@@ -188,7 +188,7 @@ TEST(SubstrateDeterminism, Im2colCol2imBitwiseInvariant) {
     std::vector<float> col(
         static_cast<std::size_t>(g.col_rows() * g.col_cols()));
     std::vector<float> back(static_cast<std::size_t>(6 * 13 * 13), 0.0F);
-    im2col(g, img.data(), col);
+    im2col_rows(g, img.data(), col);
     col2im(g, colsrc.data(), back);
     col.insert(col.end(), back.begin(), back.end());
     return col;
