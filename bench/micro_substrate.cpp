@@ -163,6 +163,7 @@ void BM_MaskedShiftRows(benchmark::State& state) {
   for (auto _ : state) {
     lowering.rows(img.data(), margined, col);
     benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MaskedShiftRows);
@@ -248,6 +249,7 @@ void BM_MaxPoolInfer(benchmark::State& state) {
   for (auto _ : state) {
     Tensor y = pool.infer(x);
     benchmark::DoNotOptimize(y.data().data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
@@ -265,6 +267,7 @@ void BM_SyntheticImage(benchmark::State& state) {
   for (auto _ : state) {
     Tensor img = ds.image(i);
     benchmark::DoNotOptimize(img.data().data());
+    benchmark::ClobberMemory();
     i = (i + 1) % opt.num_examples;
   }
   state.SetItemsProcessed(state.iterations());

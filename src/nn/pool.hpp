@@ -15,7 +15,7 @@ class MaxPool2d final : public Layer {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   /// The same window-max scan as forward(), without recording argmax (a
-  /// select-based scan for 2x2 windows at stride 2).
+  /// select-based scan for 2x2 windows at stride 2 over even heights).
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::string name() const override;
