@@ -1,12 +1,12 @@
 // Micro-benchmarks of the substrates (google-benchmark): GEMM, conv layers,
 // the whole-plane conv lowering, max-pool inference, synthetic-image draws,
-// tensor codec, simulated network send/receive.
+// a vgg-mini training step, tensor codec, simulated network send/receive.
 //
-// Every benchmark pins the global thread pool explicitly (kernel families
-// and the vgg-mini conv cases to 1 thread, the other layer families to a
-// fixed 4) so the recorded numbers measure the code, not the machine's core
-// count. scripts/bench_substrate.py runs
-// this binary with --benchmark_format=json and distills the trajectory into
+// Every benchmark pins the global thread pool explicitly (kernel families,
+// the vgg-mini conv cases and the training step to 1 thread, the other
+// layer families to a fixed 4) so the recorded numbers measure the code,
+// not the machine's core count. scripts/bench_substrate.py runs this binary
+// with --benchmark_format=json and distills the trajectory into
 // BENCH_substrate.json (see docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
 
@@ -14,14 +14,17 @@
 #include "src/common/thread_pool.hpp"
 #include "src/core/protocol.hpp"
 #include "src/data/synthetic_cifar.hpp"
+#include "src/models/factory.hpp"
 #include "src/net/network.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/linear.hpp"
+#include "src/nn/loss.hpp"
 #include "src/nn/plan.hpp"
 #include "src/nn/pool.hpp"
 #include "src/nn/sequential.hpp"
+#include "src/optim/sgd.hpp"
 #include "src/serial/tensor_codec.hpp"
 #include "src/tensor/gemm.hpp"
 #include "src/tensor/im2col.hpp"
@@ -317,6 +320,51 @@ BENCHMARK(BM_LinearSmallBatch)
     ->Args({2, 4096, 4, 0})
     ->Args({4, 4096, 4, 0})
     ->Args({8, 4096, 4, 0})
+    ->UseRealTime();
+
+// One vgg-mini training step at 16x16 (fig4_vgg's model) on one thread:
+// zero_grad, forward, loss, backward and the SGD step (fig4_vgg's learning
+// rate and momentum), the compute of one platform step of the split
+// protocol without its codec and network. The backward skips the input
+// gradient, as the platform's L1 does. Every run trains a fresh model for
+// a fixed 100 steps: on its one fixed batch the step's cost changes as the
+// model trains (timed in 50-step blocks, it bumps between steps 100 and
+// 150), so a count picked from the measured speed would time different
+// steps on each side of a comparison. Arg: the minibatch; fig4_vgg's
+// per-platform batches are 4, 8 and 14.
+void BM_VggMiniTrainStep(benchmark::State& state) {
+  set_global_threads(kKernelThreads);
+  const std::int64_t batch = state.range(0);
+  models::FactoryConfig cfg;
+  cfg.name = "vgg-mini";
+  cfg.image_size = 16;
+  models::BuiltModel model = models::build_model(cfg);
+  Rng rng(12);
+  const Tensor x = Tensor::normal(Shape{batch, 3, 16, 16}, rng);
+  std::vector<std::int64_t> labels;
+  for (std::int64_t i = 0; i < batch; ++i) {
+    labels.push_back(i % cfg.num_classes);
+  }
+  optim::SgdOptions opt;
+  opt.learning_rate = 0.02F;
+  opt.momentum = 0.5F;
+  optim::Sgd sgd(model.net.parameters(), opt);
+  nn::SoftmaxCrossEntropy loss;
+  for (auto _ : state) {
+    sgd.zero_grad();
+    const Tensor logits = model.net.forward(x, true);
+    benchmark::DoNotOptimize(loss.forward(logits, labels));
+    model.net.backward_params(loss.backward());
+    sgd.step();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_VggMiniTrainStep)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(14)
+    ->Iterations(100)
     ->UseRealTime();
 
 // --- Execution-planner fusion families -------------------------------------

@@ -6,6 +6,14 @@
 
 namespace splitmed::nn {
 
+void relu_backward_mask(std::span<const float> act,
+                        std::span<const float> grad, std::span<float> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const float g = grad[i];
+    out[i] = act[i] > 0.0F ? g : 0.0F;
+  }
+}
+
 Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
   return infer(input);
@@ -25,12 +33,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   check_same_shape(grad_output.shape(), cached_input_.shape(),
                    "ReLU backward");
   Tensor grad(grad_output.shape());
-  auto gd = grad_output.data();
-  auto id = cached_input_.data();
-  auto out = grad.data();
-  for (std::size_t i = 0; i < gd.size(); ++i) {
-    out[i] = id[i] > 0.0F ? gd[i] : 0.0F;
-  }
+  relu_backward_mask(cached_input_.data(), grad_output.data(), grad.data());
   return grad;
 }
 

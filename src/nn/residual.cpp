@@ -27,24 +27,35 @@ ResidualBlock::ResidualBlock(std::int64_t in_channels,
   }
 }
 
+namespace {
+
+/// The residual join, the one body behind forward and infer: main becomes
+/// max(main + skip, 0) in place, one add and one select per element; when
+/// `sum` is non-null it also receives the pre-activation main + skip.
+void join(Tensor& main, const Tensor& skip, float* sum) {
+  check_same_shape(main.shape(), skip.shape(), "ResidualBlock join");
+  auto md = main.data();
+  auto sd = skip.data();
+  for (std::size_t i = 0; i < md.size(); ++i) {
+    const float v = md[i] + sd[i];
+    if (sum != nullptr) sum[i] = v;
+    md[i] = v > 0.0F ? v : 0.0F;
+  }
+}
+
+}  // namespace
+
 Tensor ResidualBlock::forward(const Tensor& input, bool training) {
-  const Tensor main = main_.forward(input, training);
+  Tensor out = main_.forward(input, training);
   const Tensor skip = skip_.forward(input, training);
-  Tensor sum = ops::add(main, skip);
-  cached_sum_ = sum;
-  for (auto& v : sum.data()) v = v > 0.0F ? v : 0.0F;
-  return sum;
+  if (cached_sum_.shape() != out.shape()) cached_sum_ = Tensor(out.shape());
+  join(out, skip, cached_sum_.data().data());
+  return out;
 }
 
 Tensor ResidualBlock::infer(const Tensor& input) {
   Tensor out = main_.infer(input);
-  const Tensor skip = skip_.infer(input);
-  auto od = out.data();
-  auto sd = skip.data();
-  for (std::size_t i = 0; i < od.size(); ++i) {
-    const float v = od[i] + sd[i];
-    od[i] = v > 0.0F ? v : 0.0F;
-  }
+  join(out, skip_.infer(input), nullptr);
   return out;
 }
 
@@ -59,7 +70,7 @@ Tensor ResidualBlock::backward(const Tensor& grad_output) {
   auto gd = g.data();
   auto sd = cached_sum_.data();
   for (std::size_t i = 0; i < gd.size(); ++i) {
-    if (sd[i] <= 0.0F) gd[i] = 0.0F;
+    gd[i] = sd[i] <= 0.0F ? 0.0F : gd[i];
   }
   Tensor grad_input = main_.backward(g);
   ops::axpy(1.0F, skip_.backward(g), grad_input);

@@ -21,10 +21,10 @@ class ResidualBlock final : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   /// Both paths' infer() (fused by the planner: bias + eval BN (+ ReLU)
   /// in the GEMM write-back, chained through workspace slabs), then the
-  /// join and final ReLU elementwise. The join reads two producers, so it
-  /// stays outside either GEMM; adding post-fold keeps ops::add's float
-  /// sequence. Bitwise identical to forward(input, false); touches no
-  /// backward cache.
+  /// join and final ReLU in one elementwise pass, the same body forward()
+  /// runs. The join reads two producers, so it stays outside either GEMM.
+  /// Bitwise identical to forward(input, false); touches no backward
+  /// cache.
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override;

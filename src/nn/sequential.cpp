@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/nn/activations.hpp"
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/linear.hpp"
@@ -136,20 +137,16 @@ Tensor Sequential::backward_to(const Tensor& grad_output, bool input_grad) {
     std::optional<obs::Span> span;
     if (traced) open_group_span(span, grp, layers_, "backward", gi);
     if (grp.ran_fused) {
-      // Mirrors forward exactly: the dReLU mask is applied to the incoming
-      // gradient on the cached fused OUTPUT (out > 0 ⟺ pre-activation > 0,
-      // including -0.0 and NaN→0, so the masked bytes equal
-      // ReLU::backward's result), scratch-buffered in the arena, then the
-      // producing layer's backward runs on those bytes.
+      // Mirrors forward exactly: ReLU::backward's own mask body is applied
+      // to the incoming gradient on the cached fused OUTPUT (out > 0 ⟺
+      // pre-activation > 0, including -0.0 and NaN→0, so the masked bytes
+      // equal ReLU::backward's result), scratch-buffered in the arena, then
+      // the producing layer's backward runs on those bytes.
       check_same_shape(cur->shape(), grp.fused_out.shape(),
                        "Sequential fused backward");
       ws::WorkspaceScope scope;
       std::span<float> masked = scope.floats(grp.fused_out.numel());
-      auto fd = grp.fused_out.data();
-      auto gd = cur->data();
-      for (std::size_t i = 0; i < gd.size(); ++i) {
-        masked[i] = fd[i] > 0.0F ? gd[i] : 0.0F;
-      }
+      relu_backward_mask(grp.fused_out.data(), cur->data(), masked);
       const bool want_dx = input_grad || grp.begin != stop;
       g = (grp.conv != nullptr)
               ? grp.conv->backward_from(masked, grp.fused_out.shape(),

@@ -6,9 +6,10 @@
 //      tail rows zero-padded. gemm_nn/tn/nt pack their own A; Conv2d packs
 //      its weights once per layer call and runs every sample against them
 //      (gemm_lhs).
-//   2. Pack B once (calling thread) into NR-column panels, k-major with the
-//      NR columns interleaved, tail columns zero-padded. Conv2d's
-//      whole-plane lowering writes this layout itself (gemm_panels).
+//   2. Pack B once into NR-column panels, k-major with the NR columns
+//      interleaved, tail columns zero-padded, split across threads by panel
+//      (pack_b; Bᵀ moves in 4x4 tiles). Conv2d's whole-plane lowering
+//      writes this layout itself (gemm_panels).
 //   3. The one tile loop: parallel_for over the MR×NR tiles of C, row-block
 //      major; an MR×NR micro-kernel (src/tensor/gemm_kernels.hpp) computes
 //      each tile with one register accumulator per element, write-first.
@@ -133,33 +134,68 @@ void apply_epilogue_full(std::int64_t m, std::int64_t n, float* c,
 // b[j*k + kk] (kTransposed, B is [n,k]).
 enum class BKind { kNormal, kTransposed };
 
+// Packs below this many floats are not worth a fork-join; also sets the
+// minimum per-chunk size when packing panels across threads.
+constexpr std::int64_t kParallelPackFloats = 16 * 1024;
+
+/// Packs one kTransposed panel: its nr live columns are the nr contiguous
+/// k-float rows at `rows`. Full 4x4 tiles load four rows at four k and
+/// store them transposed into four panel rows, four floats per store where
+/// a column-by-column copy makes one strided store per float; the nr % 4
+/// and k % 4 tails go one float at a time, then the zero-padded columns.
+/// Plain copies, no arithmetic: every float keeps its bits.
+void pack_bt_panel(const float* rows, std::int64_t k, std::int64_t nr,
+                   std::int64_t nr_max, float* dst) {
+  const std::int64_t nr4 = nr / 4 * 4;
+  const std::int64_t k4 = k / 4 * 4;
+  for (std::int64_t j = 0; j < nr4; j += 4) {
+    const float* src = rows + j * k;
+    for (std::int64_t kk = 0; kk < k4; kk += 4) {
+      float t[4][4];
+      for (int r = 0; r < 4; ++r) {
+        for (int c = 0; c < 4; ++c) t[r][c] = src[r * k + kk + c];
+      }
+      for (int c = 0; c < 4; ++c) {
+        float* d = dst + (kk + c) * nr_max + j;
+        for (int r = 0; r < 4; ++r) d[r] = t[r][c];
+      }
+    }
+  }
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    float* d = dst + kk * nr_max;
+    const std::int64_t j_from = kk < k4 ? nr4 : 0;
+    for (std::int64_t j = j_from; j < nr; ++j) d[j] = rows[j * k + kk];
+    for (std::int64_t j = nr; j < nr_max; ++j) d[j] = 0.0F;
+  }
+}
+
 /// Packs all of B into ceil(n/NR) panels; panel jp holds columns
 /// [jp*NR, jp*NR+NR) as k-major rows of NR interleaved floats, tail columns
-/// zero-padded so the micro-kernel never branches on column bounds.
+/// zero-padded so the micro-kernel never branches on column bounds. Panels
+/// are disjoint and packing only copies, so splitting them across threads
+/// leaves every byte where a serial pack puts it.
 void pack_b(BKind kind, std::int64_t n, std::int64_t k, const float* b,
             std::int64_t nr_max, float* bp) {
   const std::int64_t panels = (n + nr_max - 1) / nr_max;
-  for (std::int64_t jp = 0; jp < panels; ++jp) {
-    const std::int64_t j0 = jp * nr_max;
-    const std::int64_t nr = std::min(nr_max, n - j0);
-    float* dst = bp + jp * k * nr_max;
-    if (kind == BKind::kNormal) {
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kParallelPackFloats / std::max<std::int64_t>(k * nr_max, 1));
+  parallel_for(0, panels, grain, [&](std::int64_t p0, std::int64_t p1) {
+    for (std::int64_t jp = p0; jp < p1; ++jp) {
+      const std::int64_t j0 = jp * nr_max;
+      const std::int64_t nr = std::min(nr_max, n - j0);
+      float* dst = bp + jp * k * nr_max;
+      if (kind == BKind::kTransposed) {
+        pack_bt_panel(b + j0 * k, k, nr, nr_max, dst);
+        continue;
+      }
       for (std::int64_t kk = 0; kk < k; ++kk) {
         const float* src = b + kk * n + j0;
         float* d = dst + kk * nr_max;
         for (std::int64_t j = 0; j < nr; ++j) d[j] = src[j];
         for (std::int64_t j = nr; j < nr_max; ++j) d[j] = 0.0F;
       }
-    } else {
-      for (std::int64_t j = 0; j < nr; ++j) {
-        const float* src = b + (j0 + j) * k;
-        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * nr_max + j] = src[kk];
-      }
-      for (std::int64_t j = nr; j < nr_max; ++j) {
-        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * nr_max + j] = 0.0F;
-      }
     }
-  }
+  });
 }
 
 /// Floats of B in the panel layout the tile loop reads for `a`: ceil(n/NR)
@@ -207,8 +243,7 @@ void run_tiles(const PackedLhs& a, const float* bp, float* c,
   });
 }
 
-/// gemm_nn/tn/nt and gemm_lhs: B is packed once by the calling thread,
-/// then the tile loop runs.
+/// gemm_nn/tn/nt and gemm_lhs: B is packed once, then the tile loop runs.
 void gemm_packed(const PackedLhs& a, BKind bk, std::span<const float> b,
                  std::span<float> c, const gemmk::Epilogue* ep) {
   check_sizes(a.m, a.n, a.k, static_cast<std::size_t>(a.m * a.k), b.size(),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -122,6 +123,88 @@ bool bitwise_equal(const std::vector<float>& x, const std::vector<float>& y) {
           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0);
 }
 
+// The sweep's input sets: normal draws, or IEEE special values with the
+// non-finite ones in A or in B.
+enum class Values { kNormal, kSpecialInA, kSpecialInB };
+
+// A finite value of the special sets: a signed zero or a denormal one time
+// in three, a normal draw otherwise.
+float finite_special(Rng& rng) {
+  const float pool[] = {-0.0F, 0.0F, std::numeric_limits<float>::denorm_min(),
+                        -0x1.8p-140F, 0x1.fffffcp-127F /* largest denormal */};
+  constexpr std::uint64_t kPool = sizeof(pool) / sizeof(pool[0]);
+  const std::uint64_t pick = rng.uniform_u64(3 * kPool);
+  return pick < kPool ? pool[pick] : rng.normal();
+}
+
+// The non-finite value of row or column `line`: +Inf, -Inf, or a quiet NaN
+// whose payload (and sign, every other line) is that line's own.
+float non_finite(std::int64_t line, Rng& rng) {
+  switch (rng.uniform_u64(4)) {
+    case 0: return std::numeric_limits<float>::infinity();
+    case 1: return -std::numeric_limits<float>::infinity();
+    default: {
+      const std::uint32_t sign = (line % 2 == 0) ? 0U : 0x80000000U;
+      return std::bit_cast<float>(
+          sign | 0x7FC00000U | static_cast<std::uint32_t>(line + 1));
+    }
+  }
+}
+
+// The logical operands of one sweep product, A [m,k] and B [k,n].
+//
+// In a special set every row of A or every column of B (the side named)
+// holds one non-finite value at a random k, among finite specials; the
+// other side holds finite specials only. So a NaN reaches C with its own
+// payload, and a misplaced one shows as another line's payload. No fold
+// meets two different NaNs: x86 returns the first operand's payload when
+// both are NaN, and the compiler orders a commutative multiply or add as
+// it likes, so such a fold's bits follow code generation, not the source.
+//
+// Every fourth row of A (i % 4 == 1) is +0.0 and every fourth column of B
+// (j % 4 == 1) holds -0.0 and negative finite values, so each C element
+// where they meet is a fold of -0.0 products: -0.0 exactly, and +0.0 if
+// anything on the way (a pack, a kernel) turns a -0.0 of B into +0.0.
+struct SweepOperands {
+  std::vector<float> a;  ///< a[i*k + kk]
+  std::vector<float> b;  ///< b[kk*n + j]
+};
+
+SweepOperands sweep_operands(std::int64_t m, std::int64_t n, std::int64_t k,
+                             Values values, Rng& rng) {
+  SweepOperands out{std::vector<float>(static_cast<std::size_t>(m * k)),
+                    std::vector<float>(static_cast<std::size_t>(k * n))};
+  const bool special = values != Values::kNormal;
+  for (std::int64_t i = 0; i < m; ++i) {
+    float* row = out.a.data() + i * k;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      row[kk] = !special ? rng.normal()
+                         : (i % 4 == 1 ? 0.0F : finite_special(rng));
+    }
+    if (values == Values::kSpecialInA && i % 4 != 1) {
+      row[rng.uniform_u64(static_cast<std::uint64_t>(k))] = non_finite(i, rng);
+    }
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      float& v = out.b[static_cast<std::size_t>(kk * n + j)];
+      if (!special) {
+        v = rng.normal();
+      } else if (j % 4 == 1) {
+        v = rng.bernoulli(0.5) ? -0.0F : -std::abs(rng.normal());
+      } else {
+        v = finite_special(rng);
+      }
+    }
+    if (values == Values::kSpecialInB && j % 4 != 1) {
+      const std::uint64_t kk = rng.uniform_u64(static_cast<std::uint64_t>(k));
+      out.b[static_cast<std::size_t>(kk) * static_cast<std::size_t>(n) +
+            static_cast<std::size_t>(j)] = non_finite(j, rng);
+    }
+  }
+  return out;
+}
+
 // The determinism contract (docs/PERFORMANCE.md): the packed, parallel,
 // possibly-SIMD kernels must reproduce the serial naive reference BITWISE —
 // same strict k-ascending write-first fold per element — for every shape
@@ -132,60 +215,77 @@ bool bitwise_equal(const std::vector<float>& x, const std::vector<float>& y) {
 // n also takes 4, 8 and 16: one full vector at each of the base, AVX2 and
 // AVX-512 widths, where gemm switches to the narrow 8-row tile.
 // gemm_lhs (A packed once by pack_lhs) must match the same references.
+// Each shape runs on normal draws and on the two special-value sets, where
+// the packs must carry -0.0, infinities, denormals and NaN payloads
+// through bit for bit.
 TEST(GemmBitwise, PackedMatchesReferenceAcrossShapesAndThreads) {
   const std::int64_t dims[] = {1, 3, 7, 17, 33, 64, 130};
   const std::int64_t ns[] = {1, 3, 4, 7, 8, 16, 17, 33, 64, 130};
   PoolGuard guard;
   for (const int threads : {1, 2, 8}) {
     set_global_threads(threads);
-    for (const std::int64_t m : dims) {
-      for (const std::int64_t n : ns) {
-        for (const std::int64_t k : dims) {
-          Rng rng(static_cast<std::uint64_t>((m * 131 + n) * 131 + k));
-          std::vector<float> amk(static_cast<std::size_t>(m * k));
-          std::vector<float> akm(static_cast<std::size_t>(k * m));
-          std::vector<float> bkn(static_cast<std::size_t>(k * n));
-          std::vector<float> bnk(static_cast<std::size_t>(n * k));
-          for (auto& v : amk) v = rng.normal();
-          for (auto& v : akm) v = rng.normal();
-          for (auto& v : bkn) v = rng.normal();
-          for (auto& v : bnk) v = rng.normal();
-          std::vector<float> c(static_cast<std::size_t>(m * n), -2.0F);
-          std::vector<float> ref(static_cast<std::size_t>(m * n), -3.0F);
+    for (const Values values :
+         {Values::kNormal, Values::kSpecialInA, Values::kSpecialInB}) {
+      for (const std::int64_t m : dims) {
+        for (const std::int64_t n : ns) {
+          for (const std::int64_t k : dims) {
+            Rng rng(static_cast<std::uint64_t>((m * 131 + n) * 131 + k) +
+                    1000003U * static_cast<std::uint64_t>(values));
+            const SweepOperands ops = sweep_operands(m, n, k, values, rng);
+            // The same logical A and B in the other storage orders.
+            std::vector<float> akm(static_cast<std::size_t>(k * m));
+            std::vector<float> bnk(static_cast<std::size_t>(n * k));
+            for (std::int64_t kk = 0; kk < k; ++kk) {
+              for (std::int64_t i = 0; i < m; ++i) {
+                akm[static_cast<std::size_t>(kk * m + i)] =
+                    ops.a[static_cast<std::size_t>(i * k + kk)];
+              }
+              for (std::int64_t j = 0; j < n; ++j) {
+                bnk[static_cast<std::size_t>(j * k + kk)] =
+                    ops.b[static_cast<std::size_t>(kk * n + j)];
+              }
+            }
+            const std::vector<float>& amk = ops.a;
+            const std::vector<float>& bkn = ops.b;
+            const std::string tag =
+                std::to_string(m) + 'x' + std::to_string(n) + 'x' +
+                std::to_string(k) + " threads=" + std::to_string(threads) +
+                " isa=" + gemm_kernel_isa() + " values=" +
+                std::to_string(static_cast<int>(values));
+            std::vector<float> c(static_cast<std::size_t>(m * n), -2.0F);
+            std::vector<float> ref(static_cast<std::size_t>(m * n), -3.0F);
 
-          gemm_nn(m, n, k, amk, bkn, c);
-          gemm_nn_ref(m, n, k, amk, bkn, ref);
-          EXPECT_TRUE(bitwise_equal(c, ref))
-              << "nn " << m << 'x' << n << 'x' << k << " threads=" << threads
-              << " isa=" << gemm_kernel_isa();
-          {
-            ws::WorkspaceScope scope;
-            std::fill(c.begin(), c.end(), -2.0F);
-            gemm_lhs(pack_lhs(false, m, n, k, amk, scope), bkn, c);
-            EXPECT_TRUE(bitwise_equal(c, ref))
-                << "lhs nn " << m << 'x' << n << 'x' << k
-                << " threads=" << threads << " isa=" << gemm_kernel_isa();
+            gemm_nn(m, n, k, amk, bkn, c);
+            gemm_nn_ref(m, n, k, amk, bkn, ref);
+            EXPECT_TRUE(bitwise_equal(c, ref)) << "nn " << tag;
+            {
+              ws::WorkspaceScope scope;
+              std::fill(c.begin(), c.end(), -2.0F);
+              gemm_lhs(pack_lhs(false, m, n, k, amk, scope), bkn, c);
+              EXPECT_TRUE(bitwise_equal(c, ref)) << "lhs nn " << tag;
+            }
+
+            gemm_tn(m, n, k, akm, bkn, c);
+            gemm_tn_ref(m, n, k, akm, bkn, ref);
+            EXPECT_TRUE(bitwise_equal(c, ref)) << "tn " << tag;
+            {
+              ws::WorkspaceScope scope;
+              std::fill(c.begin(), c.end(), -2.0F);
+              gemm_lhs(pack_lhs(true, m, n, k, akm, scope), bkn, c);
+              EXPECT_TRUE(bitwise_equal(c, ref)) << "lhs tn " << tag;
+            }
+
+            gemm_nt(m, n, k, amk, bnk, c);
+            gemm_nt_ref(m, n, k, amk, bnk, ref);
+            EXPECT_TRUE(bitwise_equal(c, ref)) << "nt " << tag;
+            if (values != Values::kNormal && m > 1 && n > 1) {
+              // The fold of -0.0 products in the +0.0 row and the
+              // negative column.
+              const float row1_col1 = c[static_cast<std::size_t>(n + 1)];
+              EXPECT_EQ(std::bit_cast<std::uint32_t>(row1_col1), 0x80000000U)
+                  << "nt " << tag;
+            }
           }
-
-          gemm_tn(m, n, k, akm, bkn, c);
-          gemm_tn_ref(m, n, k, akm, bkn, ref);
-          EXPECT_TRUE(bitwise_equal(c, ref))
-              << "tn " << m << 'x' << n << 'x' << k << " threads=" << threads
-              << " isa=" << gemm_kernel_isa();
-          {
-            ws::WorkspaceScope scope;
-            std::fill(c.begin(), c.end(), -2.0F);
-            gemm_lhs(pack_lhs(true, m, n, k, akm, scope), bkn, c);
-            EXPECT_TRUE(bitwise_equal(c, ref))
-                << "lhs tn " << m << 'x' << n << 'x' << k
-                << " threads=" << threads << " isa=" << gemm_kernel_isa();
-          }
-
-          gemm_nt(m, n, k, amk, bnk, c);
-          gemm_nt_ref(m, n, k, amk, bnk, ref);
-          EXPECT_TRUE(bitwise_equal(c, ref))
-              << "nt " << m << 'x' << n << 'x' << k << " threads=" << threads
-              << " isa=" << gemm_kernel_isa();
         }
       }
     }

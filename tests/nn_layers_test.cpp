@@ -126,6 +126,47 @@ TEST(ReLU, BackwardMasks) {
   EXPECT_EQ(gin[0], 0.0F);
   EXPECT_EQ(gin[1], 20.0F);
   EXPECT_EQ(gin[2], 0.0F);
+
+  // Special values, bit for bit: a kept lane (activation > 0) carries the
+  // gradient's exact bits, NaN payloads and -0.0 included; a masked lane
+  // (NaN, ±0.0, negative activations) is +0.0, bits 0. Eleven lanes, so
+  // both the vector body and its scalar tail run.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::uint32_t nan_a = 0x7FC00001U, nan_b = 0xFFC0BEEFU;
+  struct Lane {
+    float act;
+    std::uint32_t grad;
+    std::uint32_t want;
+  };
+  const Lane lanes[] = {
+      {nan, 0x41200000U, 0U},          // NaN activation masks
+      {0.0F, 0x41200000U, 0U},         // +0.0 masks
+      {-0.0F, nan_a, 0U},              // -0.0 masks, even a NaN gradient
+      {denorm, 0x41200000U, 0x41200000U},  // a denormal is > 0: kept
+      {inf, nan_a, nan_a},             // kept NaN keeps its payload
+      {-inf, 0x41200000U, 0U},
+      {2.0F, 0x80000000U, 0x80000000U},  // kept -0.0 stays -0.0
+      {-denorm, nan_b, 0U},
+      {3.0F, nan_b, nan_b},
+      {-1.0F, 0x80000000U, 0U},
+      {inf, 0xC1A00000U, 0xC1A00000U},
+  };
+  constexpr std::int64_t kLanes = sizeof(lanes) / sizeof(lanes[0]);
+  Tensor xs(Shape{kLanes});
+  Tensor gs(Shape{kLanes});
+  for (std::int64_t i = 0; i < kLanes; ++i) {
+    xs[i] = lanes[i].act;
+    gs[i] = std::bit_cast<float>(lanes[i].grad);
+  }
+  nn::ReLU special;
+  special.forward(xs, true);
+  const Tensor masked = special.backward(gs);
+  for (std::int64_t i = 0; i < kLanes; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(masked[i]), lanes[i].want)
+        << "lane " << i;
+  }
 }
 
 TEST(Activations, TanhSigmoidRanges) {
@@ -571,6 +612,48 @@ TEST(ResidualBlock, ForwardRunsAndIsNonNegative) {
   const Tensor y = block.forward(x, true);
   EXPECT_EQ(y.shape(), x.shape());
   for (const float v : y.data()) EXPECT_GE(v, 0.0F);  // final ReLU
+}
+
+TEST(ResidualBlock, BackwardMaskPassesNanAndMasksNegativeZero) {
+  // The final ReLU's mask on the pre-activation sum, through the block's
+  // own backward. conv2's weights and bias are zero and bn2's gamma is
+  // -0.0, so bn2 writes exactly its beta: channel 0's beta is NaN (a NaN
+  // pre-activation everywhere), channel 1's is -0.0, so its pre-activation
+  // is the input itself (-0.0 + x == x bit for bit). The main path's input
+  // gradient is then ±0.0 everywhere, and the identity skip adds the
+  // masked gradient to it: a kept lane reads the gradient exactly, a
+  // masked lane +0.0.
+  Rng rng(31);
+  nn::ResidualBlock block(2, 2, 1, rng);
+  const std::vector<nn::Parameter*> params = block.parameters();
+  ASSERT_EQ(params.size(), 8U);  // conv1 W/b, bn1 g/b, conv2 W/b, bn2 g/b
+  params[4]->value.fill(0.0F);
+  params[5]->value.fill(0.0F);
+  params[6]->value.fill(-0.0F);
+  params[7]->value[0] = std::numeric_limits<float>::quiet_NaN();
+  params[7]->value[1] = -0.0F;
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const Tensor x(Shape{1, 2, 2, 2}, {1.0F, -2.0F, 0.5F, 3.0F,  // channel 0
+                                     -0.0F, denorm, -3.0F, 2.0F});
+  const Tensor y = block.forward(x, true);
+  for (const float v : y.data()) EXPECT_FALSE(std::signbit(v));
+
+  const Tensor g(Shape{1, 2, 2, 2},
+                 {5.0F, -7.0F, 9.0F, 11.0F, 13.0F, 17.0F, 19.0F, 23.0F});
+  const Tensor gin = block.backward(g);
+  const std::uint32_t want[] = {
+      std::bit_cast<std::uint32_t>(5.0F),   // NaN pre-activation: passes
+      std::bit_cast<std::uint32_t>(-7.0F),
+      std::bit_cast<std::uint32_t>(9.0F),
+      std::bit_cast<std::uint32_t>(11.0F),
+      0U,                                   // -0.0 pre-activation: +0.0
+      std::bit_cast<std::uint32_t>(17.0F),  // a denormal is > 0: kept
+      0U,
+      std::bit_cast<std::uint32_t>(23.0F),
+  };
+  for (std::int64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(gin[i]), want[i]) << "lane " << i;
+  }
 }
 
 TEST(ResidualBlock, ExtraStateBytesArePinned) {

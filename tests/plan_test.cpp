@@ -288,8 +288,9 @@ TEST(PlanInfer, DeepFusedRunMatchesEvalForward) {
 
 TEST(PlanInfer, ResidualInferMatchesForwardBitwise) {
   // Both residual variants: identity skip and 1x1 projection skip. The
-  // fused join must reproduce ops::add + in-place ReLU exactly, and so must
-  // the planner-off infer (each inner layer's own infer).
+  // join is one body in forward and infer, so this pins the paths into it:
+  // the fused infer of both branches, and the planner-off infer (each
+  // inner layer's own infer), must reproduce forward(x, false) exactly.
   PlannerGuard guard;
   Rng rng(47);
   ResidualBlock plain(4, 4, 1, rng);
