@@ -70,6 +70,39 @@ TEST(SectionFile, RoundTripPreservesSectionsInOrder) {
   EXPECT_THROW((void)file.payload("gamma"), SerializationError);
 }
 
+// The SMCKPT02 encoding, byte for byte: magic, section count, then per
+// section the name, the payload length, the payload and the CRC-32 trailer
+// over the record. The 70-byte payload makes a record longer than a few
+// 16-byte blocks, so the trailer covers both the block and the tail path of
+// crc32. Any change to the writer must leave these bytes alone.
+TEST(SectionFile, EncodedBytesArePinned) {
+  std::vector<std::uint8_t> seventy(70);
+  for (std::size_t i = 0; i < seventy.size(); ++i) {
+    seventy[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  SectionFileWriter w;
+  w.add("empty", std::vector<std::uint8_t>{});
+  w.add("four", std::vector<std::uint8_t>{0xDE, 0xAD, 0xBE, 0xEF});
+  w.add("seventy", std::move(seventy));
+
+  const std::vector<std::uint8_t> expected = {
+      0x53, 0x4D, 0x43, 0x4B, 0x50, 0x54, 0x30, 0x32, 0x03, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x65, 0x6D, 0x70, 0x74, 0x79, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x1B, 0xE0, 0xC5, 0x04, 0x00, 0x00,
+      0x00, 0x66, 0x6F, 0x75, 0x72, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0xDE, 0xAD, 0xBE, 0xEF, 0x17, 0x41, 0xE4, 0xD7, 0x07, 0x00, 0x00,
+      0x00, 0x73, 0x65, 0x76, 0x65, 0x6E, 0x74, 0x79, 0x46, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x0B, 0x30, 0x55, 0x7A, 0x9F, 0xC4, 0xE9, 0x0E,
+      0x33, 0x58, 0x7D, 0xA2, 0xC7, 0xEC, 0x11, 0x36, 0x5B, 0x80, 0xA5, 0xCA,
+      0xEF, 0x14, 0x39, 0x5E, 0x83, 0xA8, 0xCD, 0xF2, 0x17, 0x3C, 0x61, 0x86,
+      0xAB, 0xD0, 0xF5, 0x1A, 0x3F, 0x64, 0x89, 0xAE, 0xD3, 0xF8, 0x1D, 0x42,
+      0x67, 0x8C, 0xB1, 0xD6, 0xFB, 0x20, 0x45, 0x6A, 0x8F, 0xB4, 0xD9, 0xFE,
+      0x23, 0x48, 0x6D, 0x92, 0xB7, 0xDC, 0x01, 0x26, 0x4B, 0x70, 0x95, 0xBA,
+      0xDF, 0x04, 0xDC, 0x95, 0xCC, 0x44,
+  };
+  EXPECT_EQ(w.encode(), expected);
+}
+
 TEST(SectionFile, WriterRejectsDuplicateAndEmptyNames) {
   SectionFileWriter w;
   w.add("a", std::vector<std::uint8_t>{});
