@@ -1,6 +1,7 @@
 // Micro-benchmarks of the substrates (google-benchmark): GEMM, conv layers,
 // the whole-plane conv lowering, max-pool inference, synthetic-image draws,
-// a vgg-mini training step, tensor codec, simulated network send/receive.
+// a vgg-mini training step, tensor codec, CRC-32, simulated network
+// send/receive.
 //
 // Every benchmark pins the global thread pool explicitly (kernel families,
 // the vgg-mini conv cases and the training step to 1 thread, the other
@@ -25,6 +26,7 @@
 #include "src/nn/pool.hpp"
 #include "src/nn/sequential.hpp"
 #include "src/optim/sgd.hpp"
+#include "src/serial/crc32.hpp"
 #include "src/serial/tensor_codec.hpp"
 #include "src/tensor/gemm.hpp"
 #include "src/tensor/im2col.hpp"
@@ -468,6 +470,22 @@ void BM_TensorCodecRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n * 4);
 }
 BENCHMARK(BM_TensorCodecRoundTrip)->Arg(1024)->Arg(65536);
+
+// The wire and checkpoint checksum. 1 KiB is about one chaos_k64 activation
+// frame, 128 KiB one fig4 activation frame, 1 MiB a checkpoint section.
+void BM_Crc32(benchmark::State& state) {
+  set_global_threads(kKernelThreads);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(8);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32({bytes.data(), bytes.size()}));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(131072)->Arg(1048576);
 
 void BM_NetworkSendReceive(benchmark::State& state) {
   set_global_threads(kKernelThreads);

@@ -481,10 +481,6 @@ Envelope Network::receive(NodeId node) {
   return std::move(*out);
 }
 
-std::optional<Envelope> Network::try_receive(NodeId node) {
-  return receive_before(node, clock_.now());
-}
-
 std::optional<Envelope> Network::receive_before(NodeId node, double deadline) {
   check_node(node);
   while (true) {

@@ -86,10 +86,6 @@ class Network {
   /// always a bug. Corrupted frames are counted, discarded, and skipped.
   Envelope receive(NodeId node);
 
-  /// Receives only if a message for `node` has already arrived:
-  /// receive_before(node, now), so the clock does not move. Used by tests.
-  std::optional<Envelope> try_receive(NodeId node);
-
   /// Receives the earliest intact message for `node` arriving at or before
   /// `deadline`, advancing the clock to its arrival; returns nullopt when
   /// none qualifies. Corrupted frames arriving in the window are counted and

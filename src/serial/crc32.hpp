@@ -1,8 +1,14 @@
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the integrity
-// trailer on Envelope wire framing when WAN fault injection is enabled.
-// Detects every single-bit flip and every error burst up to 32 bits, so a
-// corrupted frame is discarded at the receiver instead of being decoded
-// into garbage tensors and silently trained on.
+// trailer on Envelope wire framing when WAN fault injection is enabled, and
+// on every SMCKPT02 checkpoint section. Detects every single-bit flip and
+// every error burst up to 32 bits, so a corrupted frame is discarded at the
+// receiver instead of being decoded into garbage tensors and silently
+// trained on.
+//
+// Computed by slicing-by-16: sixteen 256-entry tables (16 KiB), built at
+// compile time, fold one 16-byte block per step with sixteen independent
+// lookups, and the classic byte-at-a-time table finishes the tail. The
+// value is the same function as the byte loop, bit for bit.
 #pragma once
 
 #include <cstdint>

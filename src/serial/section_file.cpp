@@ -90,17 +90,12 @@ std::vector<std::uint8_t> SectionFileWriter::encode() const {
     // The CRC trailer covers the whole section record (name length, name,
     // payload length, payload), so a bit flip anywhere in a section — header
     // included — fails verification at load time.
-    BufferWriter section;
-    section.write_string(s.name);
-    section.write_u64(s.payload.size());
-    const std::size_t at = section.size();
-    std::vector<std::uint8_t> bytes = section.take();
-    bytes.resize(at + s.payload.size());
-    if (!s.payload.empty()) {
-      std::memcpy(bytes.data() + at, s.payload.data(), s.payload.size());
-    }
-    const std::uint32_t crc = crc32({bytes.data(), bytes.size()});
-    for (const std::uint8_t b : bytes) w.write_u8(b);
+    const std::size_t record_begin = w.size();
+    w.write_string(s.name);
+    w.write_u64(s.payload.size());
+    w.write_bytes({s.payload.data(), s.payload.size()});
+    const std::uint32_t crc =
+        crc32(std::span(w.bytes()).subspan(record_begin));
     w.write_u32(crc);
   }
   return w.take();

@@ -99,9 +99,10 @@ TEST(Network, TryReceiveRespectsArrivalTime) {
   const NodeId b = network.add_node("b");
   network.set_link(a, b, net::Link{1.0, 0.0});  // 1 B/s: 28B header = 28s
   network.send(env(a, b, 1, 0));
-  EXPECT_FALSE(network.try_receive(b).has_value());  // clock still at 0
+  // clock still at 0
+  EXPECT_FALSE(network.receive_before(b, network.clock().now()).has_value());
   network.clock().advance_to(30.0);
-  EXPECT_TRUE(network.try_receive(b).has_value());
+  EXPECT_TRUE(network.receive_before(b, network.clock().now()).has_value());
 }
 
 TEST(Network, TryReceiveBeforeArrivalDoesNotConsume) {
@@ -111,12 +112,12 @@ TEST(Network, TryReceiveBeforeArrivalDoesNotConsume) {
   network.set_link(a, b, net::Link{1.0, 0.0});  // 28B header = 28s
   network.send(env(a, b, 1, 0));
   // Early polls neither deliver nor drop the in-flight frame.
-  EXPECT_FALSE(network.try_receive(b).has_value());
-  EXPECT_FALSE(network.try_receive(b).has_value());
+  EXPECT_FALSE(network.receive_before(b, network.clock().now()).has_value());
+  EXPECT_FALSE(network.receive_before(b, network.clock().now()).has_value());
   EXPECT_EQ(network.pending(b), 1U);
   EXPECT_DOUBLE_EQ(network.clock().now(), 0.0);  // polling never advances time
   network.clock().advance_to(30.0);
-  EXPECT_TRUE(network.try_receive(b).has_value());
+  EXPECT_TRUE(network.receive_before(b, network.clock().now()).has_value());
   EXPECT_EQ(network.pending(b), 0U);
 }
 
