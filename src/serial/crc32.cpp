@@ -13,9 +13,9 @@ constexpr std::size_t kSlices = 16;
 
 using Tables = std::array<std::array<std::uint32_t, 256>, kSlices>;
 
-// tables[0] is the byte-at-a-time table. tables[k][i] is the register
-// contribution of byte i followed by k zero bytes, so one lookup per byte of
-// a 16-byte block, each in its own table, folds the whole block at once.
+// Table 0 is the byte-at-a-time table. Table k maps byte i to the register
+// contribution of i followed by k zero bytes, so one lookup per byte of a
+// 16-byte block, each in its own table, folds the whole block at once.
 constexpr Tables make_tables() {
   Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {

@@ -390,7 +390,7 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
   const auto seed = static_cast<std::uint32_t>(rng.next_u64());
   // Every length from empty through five 16-byte blocks, at every start
-  // offset of the block loads, from the zero and from a running seed.
+  // offset of the block loads, from a zero seed and from a running one.
   for (std::size_t offset = 0; offset < 16; ++offset) {
     for (std::size_t len = 0; len <= 80; ++len) {
       const std::span<const std::uint8_t> s(buf.data() + offset, len);
