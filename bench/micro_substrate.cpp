@@ -353,7 +353,7 @@ void BM_VggMiniTrainStep(benchmark::State& state) {
   optim::Sgd sgd(model.net.parameters(), opt);
   nn::SoftmaxCrossEntropy loss;
   for (auto _ : state) {
-    sgd.zero_grad();
+    model.net.zero_grad();
     const Tensor logits = model.net.forward(x, true);
     benchmark::DoNotOptimize(loss.forward(logits, labels));
     model.net.backward_params(loss.backward());

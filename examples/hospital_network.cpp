@@ -70,7 +70,6 @@ int main() {
   cfg.eval_every = 20;
   cfg.sgd.learning_rate = 0.02F;
   cfg.sgd.momentum = 0.5F;
-  cfg.hospital_wan = true;
   core::SplitTrainer trainer(builder, train, partition, test, cfg);
   const auto report = trainer.run();
 

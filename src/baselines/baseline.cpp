@@ -14,10 +14,13 @@ namespace {
 /// Test-set evaluation batch (SplitConfig's default eval_batch).
 constexpr std::int64_t kEvalBatch = 64;
 
+/// Loader seed of every comparator (SplitConfig's default seed).
+constexpr std::uint64_t kLoaderSeed = 123;
+
 }  // namespace
 
 float Baseline::train_minibatch(nn::Sequential& net, data::DataLoader& loader,
-                                optim::Optimizer* opt) {
+                                optim::Sgd* opt) {
   const data::Batch batch = loader.next_batch();
   examples_drawn_ += static_cast<std::int64_t>(batch.labels.size());
   net.zero_grad();

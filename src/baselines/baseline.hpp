@@ -1,12 +1,12 @@
 // The Fig. 4 comparators and their one training loop.
 //
-// Every comparator (Sync SGD, FedAvg, cyclic, centralized, local-only) is a
-// Baseline: the base owns the config, the datasets, the simulated network,
-// the model replicas and the per-shard loaders, and Baseline::run() is the
-// only code that steps, checks the byte budget and records curve points. A
-// comparator keeps its constructor and a train_step() that moves its own
-// bytes, so the Fig. 4 curves differ only in what bytes move when. Field
-// meanings match core::SplitConfig.
+// Every comparator (Sync SGD, FedAvg, cyclic, local-only) is a Baseline: the
+// base owns the config, the datasets, the simulated network, the model
+// replicas and the per-shard loaders, and Baseline::run() is the only code
+// that steps, checks the byte budget and records curve points. A comparator
+// keeps its constructor and a train_step() that moves its own bytes, so the
+// Fig. 4 curves differ only in what bytes move when. Field meanings match
+// core::SplitConfig.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@ namespace splitmed::baselines {
 struct BaselineConfig {
   /// Global batch per step (divided across workers where applicable).
   std::int64_t total_batch = 64;
-  /// Optimization steps (sync SGD / centralized / local-only),
+  /// Optimization steps (sync SGD / local-only),
   /// communication rounds (FedAvg) or ring cycles (cyclic).
   std::int64_t steps = 100;
   std::int64_t eval_every = 10;
@@ -61,17 +61,12 @@ class Baseline {
   [[nodiscard]] net::Network& network() { return network_; }
 
  protected:
-  /// Loader seed of every comparator (SplitConfig's default seed): shard p
-  /// draws from Rng(kLoaderSeed).split(p), the centralized pool from
-  /// Rng(kLoaderSeed).
-  static constexpr std::uint64_t kLoaderSeed = 123;
-
   /// One SGD minibatch on `net`: zero_grad, forward, softmax cross-entropy,
   /// backward, then `opt->step()` unless `opt` is null (the caller applies
   /// the gradient). Adds the batch's rows to the examples drawn, which the
   /// curve's epoch counts. Returns the minibatch loss.
   float train_minibatch(nn::Sequential& net, data::DataLoader& loader,
-                        optim::Optimizer* opt);
+                        optim::Sgd* opt);
 
   /// Builds `replicas` models with `builder` after applying config.threads.
   /// Throws InvalidArgument unless config.eval_every is positive.
@@ -84,7 +79,8 @@ class Baseline {
   virtual double train_step(std::int64_t step) = 0;
 
   /// Appends one loader per shard: shard p draws batches[p] examples from
-  /// Rng(kLoaderSeed).split(p). Every shard must be non-empty.
+  /// Rng(123).split(p), 123 being SplitConfig's default seed. Every shard
+  /// must be non-empty.
   void add_loaders(const data::Partition& partition,
                    const std::vector<std::int64_t>& batches);
 

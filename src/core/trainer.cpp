@@ -97,9 +97,7 @@ SplitTrainer::SplitTrainer(ModelBuilder builder, const data::Dataset& train,
   participation_rng_ = Rng(config_.seed ^ 0xC2B2AE3D27D4EB4FULL);
   const std::int64_t k = static_cast<std::int64_t>(partition.size());
 
-  topology_ = config_.hospital_wan
-                  ? net::build_hospital_star(network_, k)
-                  : net::build_uniform_star(network_, k, config_.uniform_link);
+  topology_ = net::build_hospital_star(network_, k);
   if (faulted) {
     // A dedicated stream: fault draws never perturb loaders or init.
     network_.set_fault_seed(config_.seed ^ 0x9E3779B97F4A7C15ULL);

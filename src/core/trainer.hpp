@@ -67,9 +67,6 @@ struct SplitConfig {
   /// Extension (ablation): average L1 weights across platforms every N
   /// rounds through the server, byte-accounted. 0 = never (the paper).
   std::int64_t sync_l1_every = 0;
-  /// Heterogeneous hospital WAN star vs a uniform star.
-  bool hospital_wan = true;
-  net::Link uniform_link = net::Link::mbps(300.0, 20.0);
   std::uint64_t seed = 123;
 
   /// --- extensions (defaults reproduce the paper exactly) -------------------

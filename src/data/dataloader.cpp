@@ -49,15 +49,7 @@ Batch DataLoader::next_batch() {
                                     indices_.size() - cursor_);
   std::span<const std::int64_t> slice(indices_.data() + cursor_, take);
   cursor_ += take;
-  Tensor images = dataset_->batch_images(slice);
-  if (transform_ != nullptr) {
-    images = apply_to_batch(*transform_, images, rng_);
-  }
-  return Batch{std::move(images), dataset_->batch_labels(slice)};
-}
-
-void DataLoader::set_transform(std::shared_ptr<const Transform> transform) {
-  transform_ = std::move(transform);
+  return Batch{dataset_->batch_images(slice), dataset_->batch_labels(slice)};
 }
 
 void DataLoader::save_state(BufferWriter& writer) const {

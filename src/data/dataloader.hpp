@@ -7,12 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/data/dataset.hpp"
-#include "src/data/transforms.hpp"
 #include "src/serial/buffer.hpp"
 
 namespace splitmed::data {
@@ -28,11 +26,6 @@ class DataLoader {
   /// smaller on the final batch of an epoch when drop_last is false.
   DataLoader(const Dataset& dataset, std::vector<std::int64_t> indices,
              std::int64_t batch_size, Rng rng, bool drop_last = false);
-
-  /// Optional train-time augmentation applied to every image of every
-  /// next_batch() (not to full_shard(), which is for evaluation). Shared so
-  /// multiple loaders can reuse one pipeline.
-  void set_transform(std::shared_ptr<const Transform> transform);
 
   /// Next minibatch; reshuffles and restarts when the shard is exhausted.
   Batch next_batch();
@@ -68,7 +61,6 @@ class DataLoader {
   bool drop_last_;
   Rng rng_;
   std::size_t cursor_ = 0;
-  std::shared_ptr<const Transform> transform_;
 };
 
 }  // namespace splitmed::data

@@ -590,11 +590,20 @@ void Network::load_state(BufferReader& reader) {
   }
   std::vector<std::vector<InFlight>> inbox(nodes_.size());
   constexpr std::uint32_t kMaxInFlight = 1U << 20;
+  // The smallest encoded frame: arrival 8 + sequence 8 + an envelope with an
+  // empty payload 34. A count the rest of the state cannot hold would
+  // otherwise size the reserve below (2^20 frames is about 126 MB).
+  constexpr std::size_t kMinFrameBytes = 50;
   for (std::size_t node = 0; node < nodes_.size(); ++node) {
     const std::uint32_t n_flight = reader.read_u32();
     if (n_flight > kMaxInFlight) {
       throw SerializationError("Network state: absurd in-flight count " +
                                std::to_string(n_flight));
+    }
+    if (n_flight > reader.remaining() / kMinFrameBytes) {
+      throw SerializationError("Network state: " + std::to_string(n_flight) +
+                               " in-flight frames in " +
+                               std::to_string(reader.remaining()) + " bytes");
     }
     inbox[node].reserve(n_flight);
     for (std::uint32_t i = 0; i < n_flight; ++i) {

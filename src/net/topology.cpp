@@ -31,17 +31,4 @@ StarTopology build_hospital_star(Network& network,
   return topo;
 }
 
-StarTopology build_uniform_star(Network& network, std::int64_t num_platforms,
-                                Link link) {
-  SPLITMED_CHECK(num_platforms > 0, "need at least one platform");
-  StarTopology topo;
-  topo.server = network.add_node("central-server");
-  for (std::int64_t k = 0; k < num_platforms; ++k) {
-    const NodeId id = network.add_node("platform-" + std::to_string(k));
-    network.set_link(id, topo.server, link);
-    topo.platforms.push_back(id);
-  }
-  return topo;
-}
-
 }  // namespace splitmed::net

@@ -2,7 +2,7 @@
 //
 // The paper's deployment scenario is K hospitals and one central server
 // connected over a WAN (its future-work names Seoul National University
-// Hospitals). GeoTopology builds a star: one server node plus K platform
+// Hospitals). build_hospital_star builds it: one server node plus K platform
 // nodes with heterogeneous WAN links drawn from realistic hospital-to-
 // datacenter profiles.
 #pragma once
@@ -33,10 +33,5 @@ const std::vector<WanProfile>& hospital_wan_profiles();
 /// Builds the star into `network`: adds 1 server + K platforms and installs
 /// heterogeneous links per hospital_wan_profiles().
 StarTopology build_hospital_star(Network& network, std::int64_t num_platforms);
-
-/// Same star but every link identical — for controlled experiments where
-/// heterogeneity is a confounder.
-StarTopology build_uniform_star(Network& network, std::int64_t num_platforms,
-                                Link link);
 
 }  // namespace splitmed::net

@@ -1,7 +1,5 @@
 #include "src/nn/activations.hpp"
 
-#include <cmath>
-
 #include "src/common/error.hpp"
 
 namespace splitmed::nn {
@@ -34,60 +32,6 @@ Tensor ReLU::backward(const Tensor& grad_output) {
                    "ReLU backward");
   Tensor grad(grad_output.shape());
   relu_backward_mask(cached_input_.data(), grad_output.data(), grad.data());
-  return grad;
-}
-
-Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
-  cached_output_ = infer(input);
-  return cached_output_;
-}
-
-Tensor Tanh::infer(const Tensor& input) {
-  Tensor out(input.shape());
-  auto id = input.data();
-  auto od = out.data();
-  for (std::size_t i = 0; i < id.size(); ++i) od[i] = std::tanh(id[i]);
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  check_same_shape(grad_output.shape(), cached_output_.shape(),
-                   "Tanh backward");
-  Tensor grad(grad_output.shape());
-  auto gd = grad_output.data();
-  auto yd = cached_output_.data();
-  auto out = grad.data();
-  for (std::size_t i = 0; i < gd.size(); ++i) {
-    out[i] = gd[i] * (1.0F - yd[i] * yd[i]);
-  }
-  return grad;
-}
-
-Tensor Sigmoid::forward(const Tensor& input, bool /*training*/) {
-  cached_output_ = infer(input);
-  return cached_output_;
-}
-
-Tensor Sigmoid::infer(const Tensor& input) {
-  Tensor out(input.shape());
-  auto id = input.data();
-  auto od = out.data();
-  for (std::size_t i = 0; i < id.size(); ++i) {
-    od[i] = 1.0F / (1.0F + std::exp(-id[i]));
-  }
-  return out;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-  check_same_shape(grad_output.shape(), cached_output_.shape(),
-                   "Sigmoid backward");
-  Tensor grad(grad_output.shape());
-  auto gd = grad_output.data();
-  auto yd = cached_output_.data();
-  auto out = grad.data();
-  for (std::size_t i = 0; i < gd.size(); ++i) {
-    out[i] = gd[i] * yd[i] * (1.0F - yd[i]);
-  }
   return grad;
 }
 

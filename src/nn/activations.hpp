@@ -32,32 +32,4 @@ class ReLU final : public Layer {
   Tensor cached_input_;
 };
 
-class Tanh final : public Layer {
- public:
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override {
-    return input;
-  }
-  [[nodiscard]] std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor cached_output_;
-};
-
-class Sigmoid final : public Layer {
- public:
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override {
-    return input;
-  }
-  [[nodiscard]] std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor cached_output_;
-};
-
 }  // namespace splitmed::nn

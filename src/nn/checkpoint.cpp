@@ -1,18 +1,11 @@
 #include "src/nn/checkpoint.hpp"
 
-#include <fstream>
 #include <utility>
 
 #include "src/common/error.hpp"
-#include "src/serial/section_file.hpp"
 #include "src/serial/tensor_codec.hpp"
 
 namespace splitmed {
-
-namespace {
-constexpr char kMagic[] = "SMCKPT01";
-constexpr std::size_t kMagicLen = 8;
-}  // namespace
 
 void write_parameters(BufferWriter& w,
                       const std::vector<nn::Parameter*>& params) {
@@ -24,13 +17,9 @@ void write_parameters(BufferWriter& w,
   }
 }
 
-namespace {
-
-// Decodes the parameter block into temporaries without touching `params` —
-// the caller applies only after every cross-block validation passed.
-std::vector<Tensor> decode_parameters(BufferReader& r,
-                                      const std::vector<nn::Parameter*>& params,
-                                      const std::string& context) {
+void read_parameters(BufferReader& r,
+                     const std::vector<nn::Parameter*>& params,
+                     const std::string& context) {
   const std::uint32_t count = r.read_u32();
   if (count != params.size()) {
     throw SerializationError(context + ": parameter count mismatch: file has " +
@@ -60,50 +49,7 @@ std::vector<Tensor> decode_parameters(BufferReader& r,
     }
     values.push_back(std::move(value));
   }
-  return values;
-}
-
-}  // namespace
-
-void read_parameters(BufferReader& r,
-                     const std::vector<nn::Parameter*>& params,
-                     const std::string& context) {
-  std::vector<Tensor> values = decode_parameters(r, params, context);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    params[i]->value = std::move(values[i]);
-  }
-}
-
-void save_parameters(const std::string& path,
-                     const std::vector<nn::Parameter*>& params) {
-  BufferWriter w;
-  for (std::size_t i = 0; i < kMagicLen; ++i) w.write_u8(kMagic[i]);
-  write_parameters(w, params);
-  atomic_write_file(path, {w.bytes().data(), w.size()});
-}
-
-void load_parameters(const std::string& path,
-                     const std::vector<nn::Parameter*>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("checkpoint: cannot open '" + path + "'");
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  BufferReader r({bytes.data(), bytes.size()});
-  for (std::size_t i = 0; i < kMagicLen; ++i) {
-    if (r.remaining() == 0 ||
-        r.read_u8() != static_cast<std::uint8_t>(kMagic[i])) {
-      throw SerializationError("checkpoint: bad magic in '" + path + "'");
-    }
-  }
-  // Decode and validate everything — including trailing-garbage rejection —
-  // before mutating a single parameter: a bad file never partially loads.
-  std::vector<Tensor> values =
-      decode_parameters(r, params, "checkpoint '" + path + "'");
-  if (!r.exhausted()) {
-    throw SerializationError("checkpoint: trailing bytes in '" + path + "' (" +
-                             std::to_string(r.remaining()) +
-                             " bytes past the last parameter)");
-  }
+  // Every value decoded and validated: only now touch the parameters.
   for (std::size_t i = 0; i < params.size(); ++i) {
     params[i]->value = std::move(values[i]);
   }

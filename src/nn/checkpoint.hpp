@@ -1,15 +1,8 @@
-// Parameter checkpointing — save/restore a model's (or a split half's)
-// parameters to a file. Production necessity for geo-distributed training:
-// platforms and server checkpoint independently and can resume after faults.
-//
-// File format: magic "SMCKPT01", u32 parameter count, then per parameter a
-// length-prefixed name and the tensor payload. Files are published
-// atomically (temp file + fsync + rename), so a crash mid-save leaves the
-// previous checkpoint intact, never a torn file.
-//
-// Scope: trainable parameters only. Non-parameter state (BatchNorm running
-// statistics, optimizer momentum) is not captured here — the full-state
-// SMCKPT02 checkpoint (core/checkpoint.hpp) exists for that.
+// The parameter block — a model's (or a split half's) parameter values as
+// one record: u32 parameter count, then per parameter a length-prefixed name
+// and the tensor payload. Every SMCKPT02 node checkpoint (core/checkpoint.hpp)
+// opens its `state` section with this block; there is no parameters-only
+// file.
 #pragma once
 
 #include <string>
@@ -20,9 +13,7 @@
 
 namespace splitmed {
 
-/// Appends the parameter block (u32 count, then per parameter a
-/// length-prefixed name and the tensor payload) to `w`. Reused by both the
-/// params-only file below and the full-state node checkpoints.
+/// Appends the parameter block to `w`.
 void write_parameters(BufferWriter& w,
                       const std::vector<nn::Parameter*>& params);
 
@@ -33,18 +24,5 @@ void write_parameters(BufferWriter& w,
 void read_parameters(BufferReader& r,
                      const std::vector<nn::Parameter*>& params,
                      const std::string& context);
-
-/// Writes all parameter VALUES to `path`, atomically (overwrites). Throws
-/// Error on I/O failure.
-void save_parameters(const std::string& path,
-                     const std::vector<nn::Parameter*>& params);
-
-/// Restores parameter values from `path`. The file must contain exactly the
-/// same parameters (count, names in order, shapes) and nothing else —
-/// mismatches, short reads, and trailing garbage throw SerializationError
-/// rather than silently loading a different model, and the in-memory
-/// parameters are untouched on any failure.
-void load_parameters(const std::string& path,
-                     const std::vector<nn::Parameter*>& params);
 
 }  // namespace splitmed

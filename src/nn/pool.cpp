@@ -171,95 +171,6 @@ std::string MaxPool2d::name() const {
   return os.str();
 }
 
-AvgPool2d::AvgPool2d(std::int64_t window, std::int64_t stride)
-    : window_(window), stride_(stride == 0 ? window : stride) {
-  SPLITMED_CHECK(window_ > 0 && stride_ > 0, "AvgPool2d: bad window/stride");
-}
-
-Shape AvgPool2d::output_shape(const Shape& input) const {
-  SPLITMED_CHECK(input.rank() == 4, "AvgPool2d: input must be NCHW");
-  SPLITMED_CHECK(input.dim(2) >= window_ && input.dim(3) >= window_,
-                 "AvgPool2d: window " << window_ << " larger than input "
-                                      << input.str());
-  const std::int64_t oh = (input.dim(2) - window_) / stride_ + 1;
-  const std::int64_t ow = (input.dim(3) - window_) / stride_ + 1;
-  return Shape{input.dim(0), input.dim(1), oh, ow};
-}
-
-Tensor AvgPool2d::forward(const Tensor& input, bool /*training*/) {
-  cached_input_shape_ = input.shape();
-  return infer(input);
-}
-
-Tensor AvgPool2d::infer(const Tensor& input) {
-  const Shape out_shape = output_shape(input.shape());
-  Tensor out(out_shape);
-  const std::int64_t planes = input.shape().dim(0) * input.shape().dim(1);
-  const std::int64_t ih = input.shape().dim(2), iw = input.shape().dim(3);
-  const std::int64_t oh = out_shape.dim(2), ow = out_shape.dim(3);
-  const float inv = 1.0F / static_cast<float>(window_ * window_);
-  auto id = input.data();
-  auto od = out.data();
-  parallel_for(0, planes, plane_grain(oh * ow * window_ * window_),
-               [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t p = p0; p < p1; ++p) {
-      const float* plane = id.data() + p * ih * iw;
-      float* out_plane = od.data() + p * oh * ow;
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x) {
-          float acc = 0.0F;
-          for (std::int64_t wy = 0; wy < window_; ++wy) {
-            const float* row = plane + (y * stride_ + wy) * iw + x * stride_;
-            for (std::int64_t wx = 0; wx < window_; ++wx) acc += row[wx];
-          }
-          out_plane[y * ow + x] = acc * inv;
-        }
-      }
-    }
-  });
-  return out;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  SPLITMED_CHECK(cached_input_shape_.rank() == 4,
-                 "AvgPool2d backward before forward");
-  check_same_shape(grad_output.shape(), output_shape(cached_input_shape_),
-                   "AvgPool2d backward");
-  Tensor grad(cached_input_shape_);
-  const std::int64_t planes =
-      cached_input_shape_.dim(0) * cached_input_shape_.dim(1);
-  const std::int64_t ih = cached_input_shape_.dim(2),
-                     iw = cached_input_shape_.dim(3);
-  const std::int64_t oh = grad_output.shape().dim(2),
-                     ow = grad_output.shape().dim(3);
-  const float inv = 1.0F / static_cast<float>(window_ * window_);
-  auto gd = grad_output.data();
-  auto out = grad.data();
-  parallel_for(0, planes, plane_grain(oh * ow * window_ * window_),
-               [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t p = p0; p < p1; ++p) {
-      const float* g_plane = gd.data() + p * oh * ow;
-      float* plane = out.data() + p * ih * iw;
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x) {
-          const float g = g_plane[y * ow + x] * inv;
-          for (std::int64_t wy = 0; wy < window_; ++wy) {
-            float* row = plane + (y * stride_ + wy) * iw + x * stride_;
-            for (std::int64_t wx = 0; wx < window_; ++wx) row[wx] += g;
-          }
-        }
-      }
-    }
-  });
-  return grad;
-}
-
-std::string AvgPool2d::name() const {
-  std::ostringstream os;
-  os << "AvgPool2d(w" << window_ << " s" << stride_ << ')';
-  return os.str();
-}
-
 Shape GlobalAvgPool::output_shape(const Shape& input) const {
   SPLITMED_CHECK(input.rank() == 4, "GlobalAvgPool: input must be NCHW");
   return Shape{input.dim(0), input.dim(1)};

@@ -27,23 +27,6 @@ class MaxPool2d final : public Layer {
   std::vector<std::int64_t> argmax_;  // flat input index per output element
 };
 
-/// Windowed average pooling with square window.
-class AvgPool2d final : public Layer {
- public:
-  explicit AvgPool2d(std::int64_t window, std::int64_t stride = 0);
-
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  std::int64_t window_;
-  std::int64_t stride_;
-  Shape cached_input_shape_;
-};
-
 /// Global average pooling: [b,c,h,w] -> [b,c].
 class GlobalAvgPool final : public Layer {
  public:

@@ -1,7 +1,11 @@
-// Adam (Kingma & Ba) with bias correction and optional L2 weight decay.
+// Adam (Kingma & Ba) with bias correction and optional L2 weight decay. Like
+// Sgd, it owns no parameters and updates the ones it is given.
 #pragma once
 
-#include "src/optim/optimizer.hpp"
+#include <cstdint>
+#include <vector>
+
+#include "src/nn/parameter.hpp"
 #include "src/tensor/tensor.hpp"
 
 namespace splitmed::optim {
@@ -14,17 +18,15 @@ struct AdamOptions {
   float weight_decay = 0.0F;
 };
 
-class Adam final : public Optimizer {
+class Adam {
  public:
   Adam(std::vector<nn::Parameter*> params, AdamOptions options);
 
-  void step() override;
-  void reset_state() override;
-
-  void save_state(BufferWriter& writer) const override;
-  void load_state(BufferReader& reader) override;
+  /// Applies one update from the accumulated gradients. Does NOT zero them.
+  void step();
 
  private:
+  std::vector<nn::Parameter*> params_;
   AdamOptions options_;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;

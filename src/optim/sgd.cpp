@@ -6,12 +6,10 @@
 namespace splitmed::optim {
 
 Sgd::Sgd(std::vector<nn::Parameter*> params, SgdOptions options)
-    : Optimizer(std::move(params)), options_(options) {
+    : params_(std::move(params)), options_(options) {
   SPLITMED_CHECK(options_.learning_rate > 0.0F, "Sgd: lr must be positive");
   SPLITMED_CHECK(options_.momentum >= 0.0F && options_.momentum < 1.0F,
                  "Sgd: momentum must be in [0,1)");
-  SPLITMED_CHECK(!options_.nesterov || options_.momentum > 0.0F,
-                 "Sgd: nesterov requires momentum");
   velocity_.reserve(params_.size());
   for (const nn::Parameter* p : params_) {
     velocity_.emplace_back(p->value.shape());
@@ -39,9 +37,7 @@ void Sgd::step() {
     for (std::size_t j = 0; j < v.size(); ++j) {
       const float grad = g[j] + options_.weight_decay * v[j];
       vel[j] = options_.momentum * vel[j] + grad;
-      const float update =
-          options_.nesterov ? grad + options_.momentum * vel[j] : vel[j];
-      v[j] -= lr * update;
+      v[j] -= lr * vel[j];
     }
   }
 }

@@ -1,4 +1,4 @@
-// Tests for baselines/: sync SGD, FedAvg, centralized, local-only — learning
+// Tests for baselines/: sync SGD, FedAvg, cyclic, local-only — learning
 // sanity, exact byte accounting against the analytic model, and exact pins
 // of every comparator's report.
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <span>
 #include <sstream>
 
-#include "src/baselines/centralized.hpp"
 #include "src/baselines/cyclic.hpp"
 #include "src/baselines/fedavg.hpp"
 #include "src/baselines/local_only.hpp"
@@ -143,17 +142,6 @@ TEST(FedAvg, SingleLocalStepKeepsPlatformsAveraged) {
   EXPECT_GT(report.final_accuracy, 0.3);
 }
 
-TEST(Centralized, LearnsAndMovesNoBytes) {
-  const auto train = make_dataset(128);
-  const auto test = make_dataset(32);
-  baselines::CentralizedTrainer trainer(builder(), train, test,
-                                        base_config());
-  const auto report = trainer.run();
-  EXPECT_EQ(report.protocol, "centralized");
-  EXPECT_GT(report.final_accuracy, 0.5);
-  EXPECT_EQ(report.total_bytes, 0U);
-}
-
 TEST(LocalOnly, ReportsPerPlatformSpread) {
   const auto train = make_dataset(96);
   const auto test = make_dataset(32);
@@ -186,8 +174,9 @@ TEST(Baselines, ValidateConstruction) {
   // Every curve-point test is `step % eval_every`.
   cfg = base_config();
   cfg.eval_every = 0;
-  EXPECT_THROW(baselines::CentralizedTrainer(builder(), train, test, cfg),
-               InvalidArgument);
+  EXPECT_THROW(
+      baselines::SyncSgdTrainer(builder(), train, {{0, 1}}, test, cfg),
+      InvalidArgument);
 }
 
 
@@ -359,14 +348,6 @@ const BaselineGolden kGoldenCyclic = {
     {0.83993261059125268, 0.71903991202513373},
     {0.6875, 0.9375},
     1196280, 0.10048207999999999, 13862954380737702750ULL};
-const BaselineGolden kGoldenCentralized = {
-    {2, 4, 5},
-    {0.5, 1, 1.25},
-    {0, 0, 0},
-    {0, 0, 0},
-    {1.2694109678268433, 1.622808575630188, 0.89171755313873291},
-    {0.4375, 0.875, 0.9375},
-    0, 0, 7012027741596073226ULL};
 const BaselineGolden kGoldenLocalOnly = {
     {2, 4, 5},
     {0.58333333333333337, 1.1041666666666667, 1.3958333333333333},
@@ -450,19 +431,6 @@ TEST(GoldenBaselines, CyclicMatchesFingerprint) {
   EXPECT_EQ(report.protocol, "cyclic");
   expect_golden(report, parameter_fingerprint(trainer.model()),
                 kGoldenCyclic);
-}
-
-TEST(GoldenBaselines, CentralizedMatchesFingerprint) {
-  const auto train = make_dataset(64);
-  const auto test = make_dataset(16);
-  auto cfg = base_config();
-  cfg.steps = 5;
-  cfg.eval_every = 2;
-  baselines::CentralizedTrainer trainer(builder(), train, test, cfg);
-  const auto report = trainer.run();
-  EXPECT_EQ(report.protocol, "centralized");
-  expect_golden(report, parameter_fingerprint(trainer.model()),
-                kGoldenCentralized);
 }
 
 TEST(GoldenBaselines, LocalOnlyMatchesFingerprint) {

@@ -4,14 +4,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <numeric>
 #include <set>
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/data/dataloader.hpp"
-#include "src/data/transforms.hpp"
 #include "src/data/partition.hpp"
 #include "src/data/synthetic_cifar.hpp"
 #include "src/data/synthetic_medical.hpp"
@@ -319,35 +317,6 @@ TEST(DataLoader, FullShardIsSortedAndComplete) {
   const auto batch = loader.full_shard();
   EXPECT_EQ(batch.images.shape().dim(0), 3);
   EXPECT_EQ(batch.labels, (std::vector<std::int64_t>{1, 3, 5}));
-}
-
-
-TEST(DataLoader, TransformAppliedToBatchesNotFullShard) {
-  const auto ds = small_cifar(16);
-  std::vector<std::int64_t> shard = {0, 1, 2, 3};
-  data::DataLoader loader(ds, shard, 4, Rng(5));
-  const Tensor raw = loader.full_shard().images;
-  // A normalize transform with huge scale makes transformed batches obvious.
-  loader.set_transform(std::make_shared<data::Normalize>(
-      std::vector<float>{0.0F, 0.0F, 0.0F},
-      std::vector<float>{100.0F, 100.0F, 100.0F}));
-  const Tensor transformed = loader.next_batch().images;
-  EXPECT_LT(ops::max(transformed), 0.2F);
-  // full_shard stays untransformed (evaluation path).
-  EXPECT_EQ(ops::max_abs_diff(loader.full_shard().images, raw), 0.0F);
-}
-
-TEST(DataLoader, AugmentationKeepsShapesAndLabels) {
-  const auto ds = small_cifar(32);
-  std::vector<std::int64_t> shard = {0, 1, 2, 3, 4, 5, 6, 7};
-  data::DataLoader loader(ds, shard, 4, Rng(6));
-  std::vector<std::unique_ptr<data::Transform>> ts;
-  ts.push_back(std::make_unique<data::RandomHorizontalFlip>(0.5F));
-  ts.push_back(std::make_unique<data::RandomCrop>(2));
-  loader.set_transform(std::make_shared<data::Compose>(std::move(ts)));
-  const auto batch = loader.next_batch();
-  EXPECT_EQ(batch.images.shape(), Shape({4, 3, 16, 16}));
-  EXPECT_EQ(batch.labels.size(), 4U);
 }
 
 }  // namespace

@@ -1,18 +1,15 @@
-// Tests for the protocol extensions: int8 wire compression, checkpointing,
-// smashed-data noise defense, overlapped scheduling, and partial
-// participation (fault injection).
+// Tests for the protocol extensions: int8 wire compression, smashed-data
+// noise defense, overlapped scheduling, and partial participation (fault
+// injection).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 
 #include "src/common/error.hpp"
 #include "src/core/trainer.hpp"
 #include "src/data/synthetic_cifar.hpp"
 #include "src/models/factory.hpp"
-#include "src/nn/checkpoint.hpp"
 #include "src/privacy/distance_correlation.hpp"
 #include "src/serial/codec.hpp"
 #include "src/tensor/ops.hpp"
@@ -130,67 +127,6 @@ TEST(Quantize, RejectsTruncatedPayload) {
   w.write_f32(0.1F);  // scale, then no int8 payload at all
   BufferReader r({w.bytes().data(), w.bytes().size()});
   EXPECT_THROW(decode_tensor_tagged(r), SerializationError);
-}
-
-// -------------------------------------------------------------- checkpoint
-
-TEST(Checkpoint, SaveLoadRoundTrip) {
-  models::FactoryConfig cfg;
-  cfg.name = "mlp";
-  cfg.image_size = 8;
-  cfg.num_classes = 4;
-  auto a = models::build_model(cfg);
-  cfg.seed = 9;  // different weights
-  auto b = models::build_model(cfg);
-  const std::string path = testing::TempDir() + "/splitmed_ckpt_test.bin";
-  save_parameters(path, a.net.parameters());
-  load_parameters(path, b.net.parameters());
-  const auto pa = a.net.parameters();
-  const auto pb = b.net.parameters();
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(ops::max_abs_diff(pa[i]->value, pb[i]->value), 0.0F);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsDifferentArchitecture) {
-  models::FactoryConfig cfg;
-  cfg.name = "mlp";
-  cfg.image_size = 8;
-  cfg.num_classes = 4;
-  auto a = models::build_model(cfg);
-  cfg.name = "vgg-mini";
-  cfg.image_size = 16;
-  auto b = models::build_model(cfg);
-  const std::string path = testing::TempDir() + "/splitmed_ckpt_arch.bin";
-  save_parameters(path, a.net.parameters());
-  EXPECT_THROW(load_parameters(path, b.net.parameters()),
-               SerializationError);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsCorruptMagic) {
-  const std::string path = testing::TempDir() + "/splitmed_ckpt_magic.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOTACKPT garbage";
-  }
-  models::FactoryConfig cfg;
-  cfg.name = "mlp";
-  cfg.image_size = 8;
-  auto m = models::build_model(cfg);
-  EXPECT_THROW(load_parameters(path, m.net.parameters()),
-               SerializationError);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, MissingFileThrows) {
-  models::FactoryConfig cfg;
-  cfg.name = "mlp";
-  cfg.image_size = 8;
-  auto m = models::build_model(cfg);
-  EXPECT_THROW(load_parameters("/nonexistent/ckpt.bin", m.net.parameters()),
-               Error);
 }
 
 // --------------------------------------------------- trainer extensions
@@ -398,43 +334,6 @@ TEST(CombinedExtensions, QuantizedOverlappedNoisyPartialStillLearns) {
   core::SplitTrainer trainer(builder(), train, partition, test, cfg);
   const auto report = trainer.run();
   EXPECT_GT(report.final_accuracy, 0.5);
-}
-
-TEST(CheckpointEndToEnd, SplitHalvesRestoreIntoFreshTrainer) {
-  // Train, checkpoint each platform's L1 and the server body, then restore
-  // into a brand-new trainer: evaluation must match exactly.
-  const auto train = make_dataset(96);
-  const auto test = make_dataset(32, 96);
-  Rng prng(10);
-  const auto partition = data::partition_iid(train.size(), 2, prng);
-  auto cfg = base_config();
-  cfg.rounds = 10;
-  cfg.eval_every = 10;
-
-  core::SplitTrainer trained(builder(), train, partition, test, cfg);
-  trained.run();
-  const double trained_acc = trained.evaluate();
-
-  const std::string dir = testing::TempDir();
-  save_parameters(dir + "/server.ckpt",
-                  trained.server().body().parameters());
-  for (std::size_t p = 0; p < trained.num_platforms(); ++p) {
-    save_parameters(dir + "/l1_" + std::to_string(p) + ".ckpt",
-                    trained.platform(p).l1().parameters());
-  }
-
-  core::SplitTrainer fresh(builder(), train, partition, test, cfg);
-  EXPECT_NE(fresh.evaluate(), trained_acc);  // untrained differs (very likely)
-  load_parameters(dir + "/server.ckpt", fresh.server().body().parameters());
-  for (std::size_t p = 0; p < fresh.num_platforms(); ++p) {
-    load_parameters(dir + "/l1_" + std::to_string(p) + ".ckpt",
-                    fresh.platform(p).l1().parameters());
-  }
-  EXPECT_DOUBLE_EQ(fresh.evaluate(), trained_acc);
-  for (std::size_t p = 0; p < fresh.num_platforms(); ++p) {
-    std::remove((dir + "/l1_" + std::to_string(p) + ".ckpt").c_str());
-  }
-  std::remove((dir + "/server.ckpt").c_str());
 }
 
 }  // namespace

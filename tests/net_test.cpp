@@ -352,17 +352,5 @@ TEST(Topology, HospitalStarShape) {
   EXPECT_NE(b0, b2);
 }
 
-TEST(Topology, UniformStarUsesGivenLink) {
-  net::Network network;
-  const auto link = net::Link::mbps(100.0, 30.0);
-  const auto topo = net::build_uniform_star(network, 3, link);
-  for (const auto p : topo.platforms) {
-    EXPECT_DOUBLE_EQ(network.link(p, topo.server).bandwidth_bytes_per_sec,
-                     link.bandwidth_bytes_per_sec);
-    EXPECT_DOUBLE_EQ(network.link(p, topo.server).latency_sec,
-                     link.latency_sec);
-  }
-}
-
 }  // namespace
 }  // namespace splitmed

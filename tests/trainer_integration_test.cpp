@@ -274,25 +274,6 @@ TEST(SplitTrainer, SimulatedTimeAdvances) {
   EXPECT_GT(report.total_sim_seconds, 0.0);
 }
 
-TEST(SplitTrainer, HeterogeneousWanSlowerThanUniformGigabit) {
-  const auto train = make_dataset(32);
-  const auto test = make_dataset(8);
-  Rng prng(13);
-  const auto partition = data::partition_iid(train.size(), 2, prng);
-  auto cfg = base_config();
-  cfg.rounds = 2;
-  cfg.eval_every = 2;
-  cfg.hospital_wan = true;
-  core::SplitTrainer wan(builder(), train, partition, test, cfg);
-  const double wan_time = wan.run().total_sim_seconds;
-
-  cfg.hospital_wan = false;
-  cfg.uniform_link = net::Link::gbps(10.0, 0.1);
-  core::SplitTrainer lan(builder(), train, partition, test, cfg);
-  const double lan_time = lan.run().total_sim_seconds;
-  EXPECT_GT(wan_time, lan_time);
-}
-
 TEST(SplitTrainer, CustomCutOverridesDefault) {
   const auto train = make_dataset(32);
   const auto test = make_dataset(8);
